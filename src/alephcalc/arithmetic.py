@@ -17,7 +17,7 @@ from .cardinals import (
     card_compare,
     card_index_classify,
     cofinality,
-    is_regular,
+    require_regular,
     successor,
 )
 from .hypotheses import (
@@ -31,11 +31,6 @@ from .hypotheses import (
     sch_holds_at,
 )
 from .ordinals import Ordering
-
-
-def _require_regular(mu: CardinalExpr) -> None:
-    if not is_regular(mu):
-        raise ValueError("mu must be regular")
 
 
 def two_lt(mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
@@ -60,7 +55,7 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
     Equivalent to: SCH_{mu,lam} holds and lam is not the successor of a
     cardinal of cofinality below mu.  The second conjunct refutes on its own.
     """
-    _require_regular(mu)
+    require_regular(mu)
     if lam < mu:
         raise ValueError("lam must be at least mu")
     if mu == ALEPH0:
@@ -88,7 +83,7 @@ def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdi
     lam^+ when cf(lam) < mu.  For lam < mu the value is mu exactly under GCH;
     the case is kept visible rather than silently extended.
     """
-    _require_regular(mu)
+    require_regular(mu)
     if card_compare(lam, mu) is Ordering.LESS:
         if ctx.gch:
             return Determined(mu, ("GCH",))
@@ -112,8 +107,8 @@ def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Ver
 
     mu-closedness of lam is sufficient, and above 2^{<mu} it is equivalent.
     """
-    if not is_regular(mu) or not is_regular(lam):
-        raise ValueError("triangle requires regular cardinals")
+    require_regular(mu)
+    require_regular(lam, "lam")
     cmp = card_compare(mu, lam)
     if cmp is Ordering.GREATER:
         raise ValueError("mu must be at most lam")

@@ -181,6 +181,12 @@ def is_regular(c: CardinalExpr) -> bool:
     return cofinality(c) == c
 
 
+def require_regular(c: CardinalExpr, what: str = "mu") -> None:
+    """Reject a singular c; ``what`` names the offending argument."""
+    if not is_regular(c):
+        raise ValueError(f"{what} must be regular")
+
+
 def lambda_r(c: CardinalExpr) -> CardinalExpr:
     """Least regular cardinal >= c: c itself if regular, else its successor."""
     return c if is_regular(c) else successor(c)

@@ -9,41 +9,25 @@ import argparse
 import sys
 
 from . import __version__
-from .evaluator import evaluate_line, run_batch
-from .hypotheses import (
-    EMPTY_CONTEXT,
-    HypothesisContext,
-    InconsistentContextError,
-    ZeroSharp,
-    build_context,
-)
+from .dsl import ParseError, parse_assumptions
+from .evaluator import apply_assumption, evaluate_line, run_batch
+from .hypotheses import EMPTY_CONTEXT, HypothesisContext
 
-_ASSUME_FLAGS = ("gch", "v=l", "sharp", "no-sharp")
+_ASSUME_HELP = (
+    "comma list of DSL assumptions: GCH, V=L, sharp, no-sharp or SCH(mu, scope), "
+    "e.g. 'gch,SCH(aleph(1), >= aleph(2))'"
+)
 
 
 def _context_from_flags(spec: str | None, parser: argparse.ArgumentParser) -> HypothesisContext:
-    if not spec:
-        return EMPTY_CONTEXT
-    gch = False
-    v_equals_l = False
-    zero_sharp = ZeroSharp.UNKNOWN
-    for flag in spec.split(","):
-        flag = flag.strip().lower()
-        if flag == "gch":
-            gch = True
-        elif flag == "v=l":
-            v_equals_l = True
-        elif flag == "sharp":
-            zero_sharp = ZeroSharp.EXISTS
-        elif flag == "no-sharp":
-            zero_sharp = ZeroSharp.NOT_EXISTS
-        else:
-            parser.error(f"unknown assumption {flag!r}; expected one of {', '.join(_ASSUME_FLAGS)}")
-    try:
-        return build_context(gch=gch, v_equals_l=v_equals_l, zero_sharp=zero_sharp)
-    except InconsistentContextError as err:
-        parser.error(str(err))
-    raise AssertionError("unreachable")
+    ctx = EMPTY_CONTEXT
+    if spec:
+        try:
+            for item in parse_assumptions(spec):
+                ctx = apply_assumption(ctx, item)
+        except (ParseError, ValueError) as err:
+            parser.error(f"--assume: {err}")
+    return ctx
 
 
 def _emit(results, as_json: bool, out) -> int:
@@ -111,17 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one statement (or ';'-separated session)")
     p_eval.add_argument("-e", "--expr", required=True, help="statement to evaluate")
-    p_eval.add_argument("--assume", help="comma list of gch,v=l,sharp,no-sharp")
+    p_eval.add_argument("--assume", help=_ASSUME_HELP)
     p_eval.add_argument("--json", action="store_true", help="machine-readable one-line records")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_repl = sub.add_parser("repl", help="interactive session")
-    p_repl.add_argument("--assume", help="comma list of gch,v=l,sharp,no-sharp")
+    p_repl.add_argument("--assume", help=_ASSUME_HELP)
     p_repl.set_defaults(func=_cmd_repl)
 
     p_batch = sub.add_parser("batch", help="run a file of statements, one per line")
     p_batch.add_argument("file", help="input file; '#' lines are comments")
-    p_batch.add_argument("--assume", help="comma list of gch,v=l,sharp,no-sharp")
+    p_batch.add_argument("--assume", help=_ASSUME_HELP)
     p_batch.add_argument("--json", action="store_true", help="machine-readable one-line records")
     p_batch.set_defaults(func=_cmd_batch)
     return parser

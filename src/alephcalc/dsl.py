@@ -18,7 +18,8 @@ Index grammar (precedence ^ > * > +), longest-match tokenisation::
 
 A cardinal term must dominate everything before it in an index sum (ordinal
 absorption); ``aleph(0)`` in index position contributes the ordinal ``w``.
-``parse(format(ast)) == ast`` for canonical ASTs.
+``parse(format(ast)) == ast`` for canonical ASTs.  ``parse_assumptions``
+reads ``assumption (',' assumption)*``, the form the CLI's ``--assume`` takes.
 """
 
 from __future__ import annotations
@@ -404,6 +405,16 @@ class _Parser:
 
 def parse(text: str) -> Ast:
     return _Parser(text).session()
+
+
+def parse_assumptions(text: str) -> tuple[Assumption, ...]:
+    """A comma-separated list of assumptions, e.g. ``gch,SCH(aleph(1), >= aleph(2))``."""
+    parser = _Parser(text)
+    items = [parser.assumption()]
+    while parser.accept(","):
+        items.append(parser.assumption())
+    parser.expect("eof", "',' or end of input")
+    return tuple(items)
 
 
 # --- canonical formatting -----------------------------------------------------

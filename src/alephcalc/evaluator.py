@@ -28,6 +28,7 @@ from .dsl import (
     AssumeGch,
     AssumeSharp,
     AssumeVEqualsL,
+    Assumption,
     Ast,
     BoolLiteral,
     CardinalLiteral,
@@ -39,7 +40,6 @@ from .dsl import (
     parse,
 )
 from .hypotheses import (
-    CardinalInterval,
     Determined,
     HypothesisContext,
     SchAssumption,
@@ -88,30 +88,24 @@ class QueryResult:
         return "\n".join(lines)
 
 
-def _card_arg(q: Query, i: int) -> CardinalExpr:
-    a = q.args[i]
-    if isinstance(a, CardinalLiteral):
-        return a.value
-    raise QueryError(f"argument {i + 1} of {q.name} must be a cardinal")
+_KIND_NAMES = {"card": "a cardinal", "ord": "an ordinal", "bool": "true or false"}
 
 
-def _ord_arg(q: Query, i: int):
-    a = q.args[i]
-    if isinstance(a, OrdinalLiteral):
-        return a.base, a.tail
-    if isinstance(a, CardinalLiteral):
-        # A cardinal used in ordinal position denotes its initial ordinal.
-        if a.value == ALEPH0:
-            return None, OMEGA
-        return a.value, ORD_ZERO
-    raise QueryError(f"argument {i + 1} of {q.name} must be an ordinal")
-
-
-def _bool_arg(q: Query, i: int) -> bool:
-    a = q.args[i]
-    if isinstance(a, BoolLiteral):
-        return a.value
-    raise QueryError(f"argument {i + 1} of {q.name} must be true or false")
+def _coerce(name: str, i: int, kind: str, arg: Ast):
+    """The value of literal ``arg`` as argument ``i`` (0-based) of query ``name``."""
+    if kind == "card" and isinstance(arg, CardinalLiteral):
+        return arg.value
+    if kind == "bool" and isinstance(arg, BoolLiteral):
+        return arg.value
+    if kind == "ord":
+        if isinstance(arg, OrdinalLiteral):
+            return arg.base, arg.tail
+        if isinstance(arg, CardinalLiteral):
+            # A cardinal used in ordinal position denotes its initial ordinal.
+            if arg.value == ALEPH0:
+                return None, OMEGA
+            return arg.value, ORD_ZERO
+    raise QueryError(f"argument {i + 1} of {name} must be {_KIND_NAMES[kind]}")
 
 
 def _from_verdict(name: str, v: Verdict, *, independent_value: str | None = None,
@@ -130,8 +124,6 @@ def _from_verdict(name: str, v: Verdict, *, independent_value: str | None = None
 def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, CardinalInterval):
-        return str(value)
     return str(value)
 
 
@@ -180,76 +172,16 @@ def _render_size(name: str, params: sizes.ClassParams, verdict: sizes.SizeVerdic
     return QueryResult(name, "independent", None, (), (f"missing: {verdict.reason}",))
 
 
-# --- handlers ----------------------------------------------------------------
+# --- queries -----------------------------------------------------------------
 
 
-def _h_cf(q: Query, ctx: HypothesisContext) -> QueryResult:
-    return QueryResult(format_statement(q), "determined", str(cofinality(_card_arg(q, 0))))
+def _internal_size(name, ctx, mu, ls, lam):
+    params = sizes.ClassParams(mu=mu, ls=ls)
+    return _render_size(name, params, sizes.internal_size_of_cardinality(params, lam, ctx))
 
 
-def _h_reg(q, ctx):
-    return QueryResult(format_statement(q), "determined", _render(is_regular(_card_arg(q, 0))))
-
-
-def _h_succ(q, ctx):
-    return QueryResult(format_statement(q), "determined", str(successor(_card_arg(q, 0))))
-
-
-def _h_lambda_r(q, ctx):
-    return QueryResult(format_statement(q), "determined", str(lambda_r(_card_arg(q, 0))))
-
-
-def _h_lambda_star(q, ctx):
-    return QueryResult(format_statement(q), "determined", str(lambda_star(_card_arg(q, 0))))
-
-
-def _h_closed(q, ctx):
-    return _from_verdict(format_statement(q), arithmetic.is_mu_closed(_card_arg(q, 0), _card_arg(q, 1), ctx))
-
-
-def _h_almost_closed(q, ctx):
-    return _from_verdict(format_statement(q), arithmetic.is_almost_mu_closed(_card_arg(q, 0), _card_arg(q, 1), ctx))
-
-
-def _h_exp_lt(q, ctx):
-    lam, mu = _card_arg(q, 0), _card_arg(q, 1)
-    return _from_verdict(format_statement(q), arithmetic.exp_lt(lam, mu, ctx),
-                         independent_value=f"{lam}^<{mu}")
-
-
-def _h_two_lt(q, ctx):
-    mu = _card_arg(q, 0)
-    return _from_verdict(format_statement(q), arithmetic.two_lt(mu, ctx),
-                         independent_value=f"2^<{mu}")
-
-
-def _h_triangle(q, ctx):
-    return _from_verdict(format_statement(q), arithmetic.triangle(_card_arg(q, 0), _card_arg(q, 1), ctx))
-
-
-def _h_l_cf(q, ctx):
-    return _from_verdict(format_statement(q), l_cofinality(_card_arg(q, 0), ctx))
-
-
-def _h_colimit_bound(q, ctx):
-    value = sizes.colimit_presentability_bound(_card_arg(q, 0), _card_arg(q, 1))
-    return QueryResult(format_statement(q), "determined", str(value))
-
-
-def _h_internal_size(q, ctx):
-    params = sizes.ClassParams(mu=_card_arg(q, 0), ls=_card_arg(q, 1))
-    verdict = sizes.internal_size_of_cardinality(params, _card_arg(q, 2), ctx)
-    return _render_size(format_statement(q), params, verdict)
-
-
-def _h_rank_excluded(q, ctx):
-    return _from_verdict(format_statement(q), sizes.rank_excluded_at(_card_arg(q, 0), _card_arg(q, 1), ctx))
-
-
-def _h_existence_window(q, ctx):
-    mu = _card_arg(q, 0)
-    lo, hi = sizes.existence_window(mu, _card_arg(q, 1), ctx)
-    name = format_statement(q)
+def _existence_window(name, ctx, mu, lam):
+    lo, hi = sizes.existence_window(mu, lam, ctx)
     if isinstance(hi, Determined):
         return QueryResult(name, "determined", f"[{lo}, {hi.value}]", hi.used)
     return QueryResult(
@@ -258,101 +190,66 @@ def _h_existence_window(q, ctx):
     )
 
 
-def _h_existence_at(q, ctx):
-    params = sizes.ClassParams(
-        mu=_card_arg(q, 0),
-        ls=_card_arg(q, 1),
-        admits_intersections=_bool_arg(q, 3),
-        arbitrarily_large_models=True,
-    )
-    return _from_verdict(format_statement(q), sizes.existence_at(params, _card_arg(q, 2), ctx))
+def _existence_at(name, ctx, mu, ls, lam, intersections):
+    params = sizes.ClassParams(mu=mu, ls=ls, admits_intersections=intersections,
+                               arbitrarily_large_models=True)
+    return _from_verdict(name, sizes.existence_at(params, lam, ctx))
 
 
-def _h_no_model_rule(q, ctx):
-    params = sizes.ClassParams(mu=_card_arg(q, 0), ls=_card_arg(q, 1))
+def _no_model_rule(name, ctx, mu, ls, lam, gap_lo, gap_hi, categorical):
+    params = sizes.ClassParams(mu=mu, ls=ls)
     facts = sizes.SpectrumFacts(
-        no_models_in_cardinality_interval=(_card_arg(q, 3), _card_arg(q, 4)),
-        categorical_in_cardinality=_card_arg(q, 5),
+        no_models_in_cardinality_interval=(gap_lo, gap_hi),
+        categorical_in_cardinality=categorical,
     )
-    return _from_verdict(format_statement(q), sizes.no_model_of_internal_size(params, _card_arg(q, 2), facts, ctx))
+    return _from_verdict(name, sizes.no_model_of_internal_size(params, lam, facts, ctx))
 
 
-def _h_hilbert_card(q, ctx):
-    count = spectra.hilbert_count_by_cardinality(_card_arg(q, 0), ctx)
-    return _render_count(format_statement(q), count, ("counting infinite-dimensional spaces only",))
-
-
-def _h_hilbert_internal(q, ctx):
-    return _render_count(format_statement(q), spectra.hilbert_count_by_internal_size(_card_arg(q, 0)))
-
-
-def _h_wo_size(q, ctx):
-    base, tail = _ord_arg(q, 0)
-    value = spectra.wellorder_internal_size(base, tail, _card_arg(q, 1))
-    return QueryResult(format_statement(q), "determined", str(value))
-
-
-def _h_shelah_card(q, ctx):
-    return _render_count(format_statement(q), spectra.shelah_count_by_cardinality(_card_arg(q, 0), _card_arg(q, 1), ctx))
-
-
-def _h_shelah_internal(q, ctx):
-    return _render_count(format_statement(q), spectra.shelah_count_by_internal_size(_card_arg(q, 0), _card_arg(q, 1), ctx))
-
-
-# Argument kinds per query, in order: 'card', 'ord', or 'bool'.
-QUERY_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "cf": ("card",),
-    "reg": ("card",),
-    "succ": ("card",),
-    "lambda_r": ("card",),
-    "lambda_star": ("card",),
-    "closed": ("card", "card"),
-    "almost_closed": ("card", "card"),
-    "exp_lt": ("card", "card"),
-    "two_lt": ("card",),
-    "triangle": ("card", "card"),
-    "l_cf": ("card",),
-    "colimit_bound": ("card", "card"),
-    "internal_size": ("card", "card", "card"),
-    "rank_excluded": ("card", "card"),
-    "existence_window": ("card", "card"),
-    "existence_at": ("card", "card", "card", "bool"),
-    "no_model_rule": ("card", "card", "card", "card", "card", "card"),
-    "hilbert_card": ("card",),
-    "hilbert_internal": ("card",),
-    "wo_size": ("ord", "card"),
-    "shelah_card": ("card", "card"),
-    "shelah_internal": ("card", "card"),
+# Every query: its argument kinds in order ('card', 'ord' or 'bool') and a
+# handler called as handler(statement, ctx, *coerced_args).
+QUERIES: dict[str, tuple[tuple[str, ...], Callable[..., QueryResult]]] = {
+    "cf": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(cofinality(c)))),
+    "reg": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(is_regular(c)))),
+    "succ": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(successor(c)))),
+    "lambda_r": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(lambda_r(c)))),
+    "lambda_star": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(lambda_star(c)))),
+    "closed": (("card", "card"), lambda n, ctx, lam, mu:
+               _from_verdict(n, arithmetic.is_mu_closed(lam, mu, ctx))),
+    "almost_closed": (("card", "card"), lambda n, ctx, lam, mu:
+                      _from_verdict(n, arithmetic.is_almost_mu_closed(lam, mu, ctx))),
+    "exp_lt": (("card", "card"), lambda n, ctx, lam, mu:
+               _from_verdict(n, arithmetic.exp_lt(lam, mu, ctx), independent_value=f"{lam}^<{mu}")),
+    "two_lt": (("card",), lambda n, ctx, mu:
+               _from_verdict(n, arithmetic.two_lt(mu, ctx), independent_value=f"2^<{mu}")),
+    "triangle": (("card", "card"), lambda n, ctx, mu, lam:
+                 _from_verdict(n, arithmetic.triangle(mu, lam, ctx))),
+    "l_cf": (("card",), lambda n, ctx, lam: _from_verdict(n, l_cofinality(lam, ctx))),
+    "colimit_bound": (("card", "card"), lambda n, ctx, index, sup:
+                      _from_verdict(n, Determined(sizes.colimit_presentability_bound(index, sup)))),
+    "internal_size": (("card", "card", "card"), _internal_size),
+    "rank_excluded": (("card", "card"), lambda n, ctx, theta, mu:
+                      _from_verdict(n, sizes.rank_excluded_at(theta, mu, ctx))),
+    "existence_window": (("card", "card"), _existence_window),
+    "existence_at": (("card", "card", "card", "bool"), _existence_at),
+    "no_model_rule": (("card",) * 6, _no_model_rule),
+    "hilbert_card": (("card",), lambda n, ctx, lam:
+                     _render_count(n, spectra.hilbert_count_by_cardinality(lam, ctx),
+                                   ("counting infinite-dimensional spaces only",))),
+    "hilbert_internal": (("card",), lambda n, ctx, lam:
+                         _render_count(n, spectra.hilbert_count_by_internal_size(lam))),
+    "wo_size": (("ord", "card"), lambda n, ctx, alpha, lam:
+                _from_verdict(n, Determined(spectra.wellorder_internal_size(*alpha, lam)))),
+    "shelah_card": (("card", "card"), lambda n, ctx, mu, lam:
+                    _render_count(n, spectra.shelah_count_by_cardinality(mu, lam, ctx))),
+    "shelah_internal": (("card", "card"), lambda n, ctx, mu, lam:
+                        _render_count(n, spectra.shelah_count_by_internal_size(mu, lam, ctx))),
 }
 
-_HANDLERS: dict[str, Callable[[Query, HypothesisContext], QueryResult]] = {
-    "cf": _h_cf,
-    "reg": _h_reg,
-    "succ": _h_succ,
-    "lambda_r": _h_lambda_r,
-    "lambda_star": _h_lambda_star,
-    "closed": _h_closed,
-    "almost_closed": _h_almost_closed,
-    "exp_lt": _h_exp_lt,
-    "two_lt": _h_two_lt,
-    "triangle": _h_triangle,
-    "l_cf": _h_l_cf,
-    "colimit_bound": _h_colimit_bound,
-    "internal_size": _h_internal_size,
-    "rank_excluded": _h_rank_excluded,
-    "existence_window": _h_existence_window,
-    "existence_at": _h_existence_at,
-    "no_model_rule": _h_no_model_rule,
-    "hilbert_card": _h_hilbert_card,
-    "hilbert_internal": _h_hilbert_internal,
-    "wo_size": _h_wo_size,
-    "shelah_card": _h_shelah_card,
-    "shelah_internal": _h_shelah_internal,
-}
+QUERY_SIGNATURES: dict[str, tuple[str, ...]] = {name: kinds for name, (kinds, _) in QUERIES.items()}
 
 
-def _apply_assume(ctx: HypothesisContext, item) -> HypothesisContext:
+def apply_assumption(ctx: HypothesisContext, item: Assumption) -> HypothesisContext:
+    """Fold one parsed assumption into ctx; conflicts raise ValueError."""
     if isinstance(item, AssumeGch):
         return extend_context(ctx, gch=True)
     if isinstance(item, AssumeVEqualsL):
@@ -371,18 +268,19 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
             results.extend(sub)
         return results, ctx
     if isinstance(ast, Assume):
-        return [], _apply_assume(ctx, ast.item)
+        return [], apply_assumption(ctx, ast.item)
     name = format_statement(ast)
     if isinstance(ast, (CardinalLiteral, OrdinalLiteral, BoolLiteral)):
         return [QueryResult(name, "determined", name)], ctx
     assert isinstance(ast, Query)
-    handler = _HANDLERS.get(ast.name)
-    if handler is None:
+    entry = QUERIES.get(ast.name)
+    if entry is None:
         raise QueryError(f"unknown query name: {ast.name}")
-    arity = len(QUERY_SIGNATURES[ast.name])
-    if len(ast.args) != arity:
-        raise QueryError(f"{ast.name} takes {arity} argument(s), got {len(ast.args)}")
-    return [handler(ast, ctx)], ctx
+    kinds, handler = entry
+    if len(ast.args) != len(kinds):
+        raise QueryError(f"{ast.name} takes {len(kinds)} argument(s), got {len(ast.args)}")
+    args = [_coerce(ast.name, i, kind, arg) for i, (kind, arg) in enumerate(zip(kinds, ast.args))]
+    return [handler(name, ctx, *args)], ctx
 
 
 def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult], HypothesisContext]:

@@ -27,7 +27,7 @@ from .cardinals import (
     card_index_classify,
     card_max,
     cofinality,
-    is_regular,
+    require_regular,
 )
 from .ordinals import Ordering
 
@@ -43,10 +43,6 @@ class Determined(Generic[T]):
     value: T
     used: tuple[str, ...] = ()
 
-    @property
-    def is_determined(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Independent:
@@ -56,10 +52,6 @@ class Independent:
     def __post_init__(self) -> None:
         if not self.missing:
             raise ValueError("an Independent verdict must name a missing assumption")
-
-    @property
-    def is_determined(self) -> bool:
-        return False
 
 
 Verdict = Union[Determined[T], Independent]
@@ -184,8 +176,7 @@ def build_context(
         zero_sharp = ZeroSharp.NOT_EXISTS
     canon = tuple(sorted(set(sch), key=_sch_sort_key))
     for a in canon:
-        if not is_regular(a.mu):
-            raise ValueError("mu must be regular")
+        require_regular(a.mu)
     return HypothesisContext(gch, v_equals_l, zero_sharp, canon)
 
 
@@ -214,11 +205,6 @@ def extend_context(
 # --- coverage queries -------------------------------------------------------
 
 
-def _require_regular_mu(mu: CardinalExpr) -> None:
-    if not is_regular(mu):
-        raise ValueError("mu must be regular")
-
-
 def _scope_covers(a: SchAssumption, card: CardinalExpr) -> bool:
     scope = a.scope
     if isinstance(scope, AtLeast):
@@ -244,7 +230,7 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
     Determined(True) via GCH, a covering declared SCH instance at level
     >= mu, or trivially for mu = aleph_0; never Determined(False).
     """
-    _require_regular_mu(mu)
+    require_regular(mu)
     if card < mu:
         raise ValueError("card must be at least mu")
     if mu == ALEPH0:
@@ -259,7 +245,7 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
 
 def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
     """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?"""
-    _require_regular_mu(mu)
+    require_regular(mu)
     if lam < mu:
         raise ValueError("lam must be at least mu")
     if mu == ALEPH0:

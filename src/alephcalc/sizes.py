@@ -27,6 +27,7 @@ from .cardinals import (
     cofinality,
     is_regular,
     lambda_r,
+    require_regular,
     successor,
 )
 from .hypotheses import (
@@ -51,8 +52,7 @@ class ClassParams:
     arbitrarily_large_models: bool = True
 
     def __post_init__(self) -> None:
-        if not is_regular(self.mu):
-            raise ValueError("mu must be regular")
+        require_regular(self.mu)
         if self.ls < self.mu:
             raise ValueError("LS(K) must be at least mu")
         # LS = LS^{<mu} forces cf(LS) >= mu (Koenig); under GCH the converse
@@ -166,8 +166,8 @@ def existence_window(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
 ) -> tuple[CardinalExpr, Verdict[CardinalExpr]]:
     """Window [lam, lam^{<mu}] of internal sizes guaranteed to be hit."""
-    if not is_regular(mu) or not is_regular(lam):
-        raise ValueError("existence window requires regular cardinals")
+    require_regular(mu)
+    require_regular(lam, "lam")
     if card_compare(mu, lam) is Ordering.GREATER:
         raise ValueError("mu must be at most lam")
     return lam, exp_lt(lam, mu, ctx)

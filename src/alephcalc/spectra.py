@@ -29,6 +29,7 @@ from .cardinals import (
     card_index_classify,
     cofinality,
     is_regular,
+    require_regular,
     successor,
 )
 from .hypotheses import (
@@ -77,16 +78,6 @@ class UndeterminedCount:
 
 
 CountValue = Finite | Card | AtLeastCard | ZeroCount | UndeterminedCount
-
-
-def _counts_equal(a: CountValue, b: CountValue) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Finite):
-        return a.n == b.n
-    if isinstance(a, (Card, AtLeastCard)):
-        return a.value == b.value
-    return isinstance(a, ZeroCount)
 
 
 # --- Hilbert spaces ---------------------------------------------------------
@@ -165,8 +156,7 @@ def shelah_count_by_cardinality(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
 ) -> CountValue:
     """I(K^mu, lam): isomorphism classes of cardinality lam, by hypothesis."""
-    if not is_regular(mu):
-        raise ValueError("mu must be regular")
+    require_regular(mu)
     if lam < mu:
         raise ValueError("lam must be at least mu")
     if ctx.v_equals_l:
@@ -177,26 +167,14 @@ def shelah_count_by_cardinality(
         return Card(successor(lam), ("sharp",))
     if ctx.zero_sharp is ZeroSharp.NOT_EXISTS:
         return _count_without_sharp(mu, lam)
-    with_sharp = Card(successor(lam), ())
-    without = _strip_used(_count_without_sharp(mu, lam))
-    if _counts_equal(with_sharp, without):
+    with_sharp = successor(lam)
+    without = _count_without_sharp(mu, lam)
+    if isinstance(without, Card) and without.value == with_sharp:
         # Both 0# branches agree, so the count is a ZFC fact at this point.
-        return without
+        return Card(with_sharp)
     return UndeterminedCount(
-        f"the status of 0# (with sharp: {_render(with_sharp)}; without: {_render(without)})"
+        f"the status of 0# (with sharp: {with_sharp}; without: {_render(without)})"
     )
-
-
-def _strip_used(c: CountValue) -> CountValue:
-    if isinstance(c, Finite):
-        return Finite(c.n)
-    if isinstance(c, Card):
-        return Card(c.value)
-    if isinstance(c, AtLeastCard):
-        return AtLeastCard(c.value)
-    if isinstance(c, ZeroCount):
-        return ZeroCount()
-    return c
 
 
 def _render(c: CountValue) -> str:
@@ -239,8 +217,7 @@ def shelah_count_by_internal_size(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
 ) -> CountValue:
     """Lower bound on models of internal size lam in K^mu; never finite."""
-    if not is_regular(mu):
-        raise ValueError("mu must be regular")
+    require_regular(mu)
     if lam < mu:
         raise ValueError("lam must be at least mu")
     if is_regular(lam):

@@ -20,6 +20,16 @@ class TestEval:
         assert record["value"] == "aleph(w+1)"
         assert record["assumptions_used"] == ["GCH"]
 
+    def test_sch_assume_flag(self):
+        out = run_cli(
+            "eval", "-e", "exp_lt(aleph(w+1), aleph(1))", "--assume", "SCH(aleph(1), >= aleph(2))", "--json"
+        )
+        assert out.returncode == 0
+        record = json.loads(out.stdout)
+        assert record["verdict"] == "determined"
+        assert record["value"] == "aleph(w+1)"
+        assert record["assumptions_used"] == ["SCH(aleph(1), >= aleph(2))"]
+
     def test_session_with_inline_assume(self):
         out = run_cli("eval", "-e", "assume V=L; shelah_card(aleph(1), aleph(w))", "--json")
         assert out.returncode == 0
@@ -39,6 +49,8 @@ class TestEval:
         assert run_cli("nonsense").returncode == 2
         assert run_cli("eval", "-e", "cf(aleph(0))", "--assume", "zfc+").returncode == 2
         assert run_cli("eval", "-e", "cf(aleph(0))", "--assume", "v=l,sharp").returncode == 2
+        assert run_cli("eval", "-e", "cf(aleph(0))", "--assume", "gch,").returncode == 2
+        assert run_cli("eval", "-e", "cf(aleph(0))", "--assume", "SCH(aleph(w), >= aleph(w+1))").returncode == 2
 
     def test_version(self):
         out = run_cli("--version")

@@ -1,5 +1,7 @@
 import io
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,9 @@ from alephcalc.dsl import (
     OrdinalLiteral,
     Query,
     Session,
+    parse_assumptions,
 )
+from alephcalc.evaluator import QUERY_SIGNATURES
 from alephcalc.hypotheses import AtLeast, ExplicitSet, UnboundedBelow
 from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, cnf_add, from_int, omega_power
 
@@ -114,6 +118,17 @@ class TestParse:
             parse("assume HCG")
         with pytest.raises(ParseError):
             parse("w*0")
+
+    def test_assumption_list(self):
+        assert parse_assumptions("gch, V=L,no-sharp,SCH(aleph(1), {aleph(2), aleph(3)})") == (
+            AssumeGch(),
+            AssumeVEqualsL(),
+            AssumeSharp(False),
+            AssumeSch(ALEPH1, ExplicitSet((ALEPH2, aleph(3)))),
+        )
+        for bad in ("", "gch,", "gch;sharp", "cf(aleph(1))"):
+            with pytest.raises(ParseError):
+                parse_assumptions(bad)
 
     def test_whitespace_insensitive(self):
         assert parse(" exp_lt( aleph(w) ,aleph(1) ) ") == parse("exp_lt(aleph(w), aleph(1))")
@@ -210,6 +225,22 @@ class TestEvaluate:
         assert results[0].verdict == "error"
         assert "argument" in results[0].notes[0]
 
+    @pytest.mark.parametrize(
+        "line, note",
+        [
+            ("cf(w+1)", "argument 1 of cf must be a cardinal"),
+            ("wo_size(true, aleph(1))", "argument 1 of wo_size must be an ordinal"),
+            ("existence_at(aleph(1), aleph(1), aleph(3), aleph(1))", "argument 4 of existence_at must be true or false"),
+            # Argument kinds are checked before any engine call (aleph(w) is singular).
+            ("existence_at(aleph(w), aleph(1), true, true)", "argument 3 of existence_at must be a cardinal"),
+            ("cf(aleph(1), aleph(2))", "cf takes 1 argument(s), got 2"),
+        ],
+    )
+    def test_argument_error_notes(self, line, note):
+        results, _ = evaluate_line(line, EMPTY_CONTEXT)
+        assert results[0].verdict == "error"
+        assert results[0].notes == (f"error: {note}",)
+
     def test_module_errors_surface_verbatim(self):
         results, _ = evaluate_line("rank_excluded(aleph(1), aleph(1))", EMPTY_CONTEXT)
         assert results[0].verdict == "error"
@@ -268,3 +299,13 @@ class TestBatch:
     def test_determinism(self):
         text = "assume GCH\nexp_lt(aleph(w), aleph(1))\ninternal_size(aleph(1), aleph(1), aleph(w+1))\n"
         assert self._run(text) == self._run(text)
+
+
+def test_every_query_is_in_a_golden_session():
+    data = Path(__file__).parent / "data"
+    called = set()
+    for name in ("golden_session.txt", "golden_vl_session.txt"):
+        for line in (data / name).read_text().splitlines():
+            if not line.lstrip().startswith("#"):
+                called.update(re.findall(r"\b(\w+)\(", line))
+    assert set(QUERY_SIGNATURES) <= called
