@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .cardinals import (
     ALEPH0,
-    CardinalAtom,
     CardinalExpr,
     SuccessorCard,
     card_compare,
@@ -60,20 +59,10 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
         raise ValueError("lam must be at least mu")
     if mu == ALEPH0:
         return Determined(True)
-    if isinstance(lam, CardinalAtom):
-        # Weakly inaccessible: a limit cardinal, so only the SCH side matters.
-        sch = sch_holds_at(ctx, mu, lam)
-        if is_true(sch):
-            return Determined(True, sch.used)
-        return Independent((f"SCH({mu}) below {lam}",))
     kind = card_index_classify(lam)
     if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
         return Determined(False)
-    sch = sch_holds_at(ctx, mu, lam)
-    if is_true(sch):
-        return Determined(True, sch.used)
-    assert isinstance(sch, Independent)
-    return Independent(sch.missing)
+    return sch_holds_at(ctx, mu, lam)
 
 
 def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
@@ -115,14 +104,11 @@ def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Ver
     if cmp is Ordering.EQUAL:
         return Determined(True)
     closed = is_mu_closed(lam, mu, ctx)
-    if is_true(closed):
-        return Determined(True, closed.used)
-    if is_false(closed):
-        bound = two_lt(mu, ctx)
-        if isinstance(bound, Determined):
-            if card_compare(lam, bound.value) is Ordering.GREATER:
-                return Determined(False, tuple(sorted(set(closed.used) | set(bound.used))))
-            return Independent((f"the order below 2^<{mu} = {bound.value} (not characterised by mu-closedness)",))
-        return Independent(bound.missing)
-    assert isinstance(closed, Independent)
-    return Independent(closed.missing)
+    if not is_false(closed):
+        return closed
+    bound = two_lt(mu, ctx)
+    if isinstance(bound, Independent):
+        return bound
+    if card_compare(lam, bound.value) is Ordering.GREATER:
+        return Determined(False, tuple(sorted(set(closed.used) | set(bound.used))))
+    return Independent((f"the order below 2^<{mu} = {bound.value} (not characterised by mu-closedness)",))

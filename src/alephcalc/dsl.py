@@ -20,16 +20,33 @@ A cardinal term must dominate everything before it in an index sum (ordinal
 absorption); ``aleph(0)`` in index position contributes the ordinal ``w``.
 ``parse(format(ast)) == ast`` for canonical ASTs.  ``parse_assumptions``
 reads ``assumption (',' assumption)*``, the form the CLI's ``--assume`` takes.
+
+A NAT is a run of decimal digits, at most ``MAX_DIGITS`` long.  Nesting is
+bounded: ``aleph(...)``, a query's argument list, a parenthesised exponent
+and each ``^`` of an exponent tower are one level each, and at most
+``MAX_NESTING`` levels may be open at once.  ``tokenize``, ``parse`` and
+``parse_assumptions`` raise nothing but ``ParseError`` on any string, so a
+malformed line always becomes a ``syntax error`` record, never a crash.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, TypeVar, Union
 
 from .cardinals import ALEPH0, Aleph, CardinalAtom, CardinalExpr, card_compare
-from .hypotheses import AtLeast, ExplicitSet, SchScope, UnboundedBelow
+from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
 from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, cnf_add, from_int, omega_power
+
+# Deeper input would exhaust the interpreter's stack in the engine or the
+# formatter; a probe found both safe to about 160 levels of w^.
+MAX_NESTING = 64
+# Below int()'s 4300-digit string limit with room to spare, so that any sum
+# of naturals written on one line still converts back to a string.
+MAX_DIGITS = 4000
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -82,11 +99,7 @@ class AssumeSharp:
     exists: bool
 
 
-@dataclass(frozen=True)
-class AssumeSch:
-    mu: CardinalExpr
-    scope: SchScope
-
+AssumeSch = SchAssumption
 
 Assumption = Union[AssumeGch, AssumeVEqualsL, AssumeSharp, AssumeSch]
 
@@ -107,76 +120,50 @@ Ast = Union[CardinalLiteral, OrdinalLiteral, BoolLiteral, Query, Assume, Session
 # --- tokenizer ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'nat', 'ident', a symbol, or 'eof'
     text: str
     line: int
     col: int
 
 
-_SYMBOLS = (">=", "(", ")", "{", "}", ",", ";", "+", "*", "^", "=", "-")
+_SCANNER = re.compile(
+    r"(?P<nat>\d+)|(?P<ident>[^\W\d]\w*)|(?P<symbol>>=|[-(){},;+*^=])"
+    r"|(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<bad>.)"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(line, col, ("a token",), repr(ch))
-    tokens.append(Token("eof", "", line, col))
+        word = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(line, col, ("a token",), repr(word))
+        tokens.append(Token(word if kind == "symbol" else kind, word, line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
 # --- parser ------------------------------------------------------------------
 
-def _sugar_value(text: str) -> CardinalExpr | None:
-    """aleph_N for a natural N, plus aleph_w."""
-    if text == "aleph_w":
-        return Aleph(None, OMEGA)
-    if text.startswith("aleph_") and text[6:].isdigit():
-        return Aleph(None, from_int(int(text[6:])))
-    return None
+# Identifiers that begin a cardinal term: aleph(...), inacc(...), aleph_N, aleph_w.
+_CARDINAL_WORD = re.compile(r"aleph|inacc|aleph_(?:w|\d+)")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -205,6 +192,27 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.text.lower() in words
 
+    def expect_word(self, word: str) -> None:
+        if not self.at_keyword(word.lower()):
+            raise self.fail(word)
+        self.advance()
+
+    def nat(self, tok: Token, start: int = 0) -> int:
+        """The natural written by the digits ``tok.text[start:]``."""
+        digits = tok.text[start:]
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(tok.line, tok.col, (f"a number of at most {MAX_DIGITS} digits",), tok.text)
+        return int(digits)
+
+    def nested(self, read: Callable[[], T]) -> T:
+        """``read()`` one nesting level deeper, failing at its first token past the bound."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
+        value = read()
+        self.depth -= 1
+        return value
+
     # statements
 
     def session(self) -> Ast:
@@ -231,9 +239,7 @@ class _Parser:
         if word == "v":
             self.advance()
             self.expect("=", "'='")
-            nxt = self.expect("ident", "L")
-            if nxt.text.lower() != "l":
-                raise ParseError(nxt.line, nxt.col, ("L",), nxt.text)
+            self.expect_word("L")
             return AssumeVEqualsL()
         if word == "sharp":
             self.advance()
@@ -241,9 +247,7 @@ class _Parser:
         if word == "no":
             self.advance()
             self.expect("-", "'-'")
-            nxt = self.expect("ident", "sharp")
-            if nxt.text.lower() != "sharp":
-                raise ParseError(nxt.line, nxt.col, ("sharp",), nxt.text)
+            self.expect_word("sharp")
             return AssumeSharp(False)
         if word == "sch":
             self.advance()
@@ -285,11 +289,7 @@ class _Parser:
             self.advance()
             return BoolLiteral(False)
         tok = self.peek()
-        if (
-            tok.kind == "ident"
-            and _sugar_value(tok.text) is None
-            and tok.text not in ("aleph", "inacc", "w")
-        ):
+        if tok.kind == "ident" and tok.text != "w" and not _CARDINAL_WORD.fullmatch(tok.text):
             nxt = self.tokens[self.pos + 1]
             if nxt.kind == "(":
                 return self.query(tok)
@@ -298,9 +298,9 @@ class _Parser:
     def query(self, name_tok: Token) -> Query:
         self.advance()
         self.expect("(", "'('")
-        args = [self.arg()]
+        args = [self.nested(self.arg)]
         while self.accept(","):
-            args.append(self.arg())
+            args.append(self.nested(self.arg))
         self.expect(")", "')'")
         return Query(name_tok.text, tuple(args))
 
@@ -314,14 +314,12 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "nat":
                 self.advance()
-                tail = cnf_add(tail, from_int(int(tok.text)))
+                tail = cnf_add(tail, from_int(self.nat(tok)))
                 single_cardinal = None
             elif tok.kind == "ident" and tok.text == "w":
                 tail = cnf_add(tail, self.omega_term())
                 single_cardinal = None
-            elif tok.kind == "ident" and (
-                _sugar_value(tok.text) is not None or tok.text in ("aleph", "inacc")
-            ):
+            elif tok.kind == "ident" and _CARDINAL_WORD.fullmatch(tok.text):
                 card = self.cardinal_primary()
                 if card == ALEPH0:
                     # In a composite index aleph_0 contributes its initial
@@ -350,11 +348,11 @@ class _Parser:
         self.advance()  # 'w'
         exp = ORD_ONE
         if self.accept("^"):
-            exp = self.exponent()
+            exp = self.nested(self.exponent)
         coeff = 1
         if self.accept("*"):
             tok = self.expect("nat", "a positive coefficient")
-            coeff = int(tok.text)
+            coeff = self.nat(tok)
             if coeff < 1:
                 raise ParseError(tok.line, tok.col, ("a positive coefficient",), tok.text)
         return omega_power(exp, coeff)
@@ -363,14 +361,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "nat":
             self.advance()
-            return from_int(int(tok.text))
+            return from_int(self.nat(tok))
         if tok.kind == "ident" and tok.text == "w":
             self.advance()
             if self.accept("^"):
-                return omega_power(self.exponent())
+                return omega_power(self.nested(self.exponent))
             return OMEGA
         if self.accept("("):
-            node = self.index_expr()
+            node = self.nested(self.index_expr)
             if not isinstance(node, OrdinalLiteral) or node.base is not None:
                 raise self.fail("an ordinal exponent")
             self.expect(")", "')'")
@@ -379,28 +377,25 @@ class _Parser:
 
     def cardinal_primary(self) -> CardinalExpr:
         tok = self.advance()
-        sugar = _sugar_value(tok.text)
-        if sugar is not None:
-            return sugar
-        if tok.text == "aleph":
+        if tok.text == "inacc":
             self.expect("(", "'('")
-            inner = self.index_expr()
+            name = self.expect("ident", "an atom name")
             self.expect(")", "')'")
-            if isinstance(inner, CardinalLiteral):
-                value = inner.value
-                if isinstance(value, CardinalAtom):
-                    raise ParseError(tok.line, tok.col, ("an aleph index (atoms are their own fixed points)",), tok.text)
-                if value == ALEPH0:
-                    return Aleph(None, OMEGA)
-                return Aleph(value, ORD_ZERO)
-            if inner.base is not None and isinstance(inner.base, CardinalAtom):
-                raise ParseError(tok.line, tok.col, ("an aleph index (atoms are their own fixed points)",), tok.text)
-            return Aleph(inner.base, inner.tail)
-        # inacc
+            return CardinalAtom(name.text, weakly_inaccessible=True)
+        if tok.text == "aleph_w":
+            return Aleph(None, OMEGA)
+        if tok.text != "aleph":  # aleph_N
+            return Aleph(None, from_int(self.nat(tok, len("aleph_"))))
         self.expect("(", "'('")
-        name = self.expect("ident", "an atom name")
+        inner = self.nested(self.index_expr)
         self.expect(")", "')'")
-        return CardinalAtom(name.text, weakly_inaccessible=True)
+        if isinstance(inner, CardinalLiteral):
+            base, tail = (None, OMEGA) if inner.value == ALEPH0 else (inner.value, ORD_ZERO)
+        else:
+            base, tail = inner.base, inner.tail
+        if isinstance(base, CardinalAtom):
+            raise ParseError(tok.line, tok.col, ("an aleph index (atoms are their own fixed points)",), tok.text)
+        return Aleph(base, tail)
 
 
 def parse(text: str) -> Ast:
@@ -447,4 +442,4 @@ def _format_assumption(item: Assumption) -> str:
         return "V=L"
     if isinstance(item, AssumeSharp):
         return "sharp" if item.exists else "no-sharp"
-    return f"SCH({item.mu}, {item.scope})"
+    return item.describe()

@@ -42,7 +42,6 @@ from .dsl import (
 from .hypotheses import (
     Determined,
     HypothesisContext,
-    SchAssumption,
     Verdict,
     ZeroSharp,
     extend_context,
@@ -256,7 +255,7 @@ def apply_assumption(ctx: HypothesisContext, item: Assumption) -> HypothesisCont
         return extend_context(ctx, v_equals_l=True)
     if isinstance(item, AssumeSharp):
         return extend_context(ctx, zero_sharp=ZeroSharp.EXISTS if item.exists else ZeroSharp.NOT_EXISTS)
-    return extend_context(ctx, sch=(SchAssumption(item.mu, item.scope),))
+    return extend_context(ctx, sch=(item,))
 
 
 def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], HypothesisContext]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cardinals import (
-    ALEPH0,
     CardinalAtom,
     CardinalExpr,
     SuccessorCard,
@@ -177,20 +176,9 @@ def rank_excluded_at(
     theta: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext
 ) -> Verdict[bool]:
     """Can theta (a limit regular cardinal) be excluded as a presentability rank?"""
-    if isinstance(theta, CardinalAtom):
-        if not theta.weakly_inaccessible:
-            raise ValueError("unclassified atom")
-    else:
-        if not is_regular(theta) or isinstance(card_index_classify(theta), SuccessorCard):
-            raise ValueError("not a limit regular cardinal")
-    if mu == ALEPH0:
-        # Every infinite cardinal is aleph_0-closed.
-        return Determined(True)
-    closed = is_mu_closed(theta, mu, ctx)
-    if is_true(closed):
-        return Determined(True, closed.used)
-    assert isinstance(closed, Independent)
-    return Independent(closed.missing)
+    if not is_regular(theta) or isinstance(card_index_classify(theta), SuccessorCard):
+        raise ValueError("not a limit regular cardinal")
+    return is_mu_closed(theta, mu, ctx)
 
 
 def no_model_of_internal_size(
@@ -204,7 +192,7 @@ def no_model_of_internal_size(
         raise ValueError("lam must exceed LS(K)")
     e = exp_lt(lam, params.mu, ctx)
     if isinstance(e, Independent):
-        return Independent(e.missing)
+        return e
     if e.value == lam:
         raise ValueError("rule inapplicable: lam = lam^{<mu}")
     missing = []

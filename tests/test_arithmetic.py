@@ -14,6 +14,7 @@ from alephcalc import (
     ExplicitSet,
     Independent,
     SchAssumption,
+    UnclassifiedAtomError,
     aleph,
     build_context,
     exp_lt,
@@ -75,6 +76,13 @@ class TestMuClosed:
         assert isinstance(is_mu_closed(THETA, ALEPH1, EMPTY_CONTEXT), Independent)
         declared = build_context(sch=(SchAssumption(ALEPH1, AtLeast(ALEPH2)),))
         assert is_true(is_mu_closed(THETA, ALEPH1, declared))
+
+    def test_unclassified_atom_raises_under_every_context(self):
+        # GCH settles SCH, but whether an unclassified atom is a successor
+        # (and so maybe refuted by Koenig) is still unknown.
+        for ctx in (EMPTY_CONTEXT, GCH):
+            with pytest.raises(UnclassifiedAtomError, match="unclassified atom"):
+                is_mu_closed(CardinalAtom("m"), ALEPH1, ctx)
 
     def test_mu_equals_lam_successor_is_never_mu_closed(self):
         assert is_false(is_mu_closed(ALEPH1, ALEPH1, GCH))

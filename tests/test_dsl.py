@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alephcalc import (
     ALEPH0,
@@ -22,6 +24,7 @@ from alephcalc import (
     run_batch,
 )
 from alephcalc.dsl import (
+    MAX_NESTING,
     Assume,
     AssumeGch,
     AssumeSch,
@@ -32,6 +35,7 @@ from alephcalc.dsl import (
     Query,
     Session,
     parse_assumptions,
+    tokenize,
 )
 from alephcalc.evaluator import QUERY_SIGNATURES
 from alephcalc.hypotheses import AtLeast, ExplicitSet, UnboundedBelow
@@ -40,6 +44,17 @@ from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, cnf_add, from_int, omeg
 from conftest import random_statement
 
 A_W1 = aleph(cnf_add(OMEGA, ORD_ONE))
+GOLDEN_LINES = [
+    line
+    for name in ("golden_session.txt", "golden_vl_session.txt")
+    for line in (Path(__file__).parent / "data" / name).read_text().splitlines()
+    if line.strip() and not line.lstrip().startswith("#")
+]
+# Inputs that once escaped the parser as ValueError or RecursionError.
+SUPERSCRIPT_DIGIT = "cf(aleph(\u00b2))"
+LONG_NATURAL = "aleph(" + "1" * 5000 + ")"
+LONG_SUM = "9" * 4300 + "+" + "9" * 4300
+DEEP_TOWER = "w^" * 200 + "1"
 
 
 class TestParse:
@@ -309,3 +324,81 @@ def test_every_query_is_in_a_golden_session():
             if not line.lstrip().startswith("#"):
                 called.update(re.findall(r"\b(\w+)\(", line))
     assert set(QUERY_SIGNATURES) <= called
+
+
+# Each builder writes an input with exactly n levels of nesting.
+NESTERS = {
+    "aleph": lambda n: "aleph(" * n + "1" + ")" * n,
+    "tower": lambda n: "w^" * n + "2",
+    "parenthesised exponent": lambda n: "w^" * (n % 2) + "w^(" * (n // 2) + "w" + ")" * (n // 2),
+    "query": lambda n: "f(" * n + "1" + ")" * n,
+}
+
+
+class TestFrontEndContract:
+    @pytest.mark.parametrize(
+        "line",
+        [SUPERSCRIPT_DIGIT, LONG_NATURAL, LONG_SUM, DEEP_TOWER],
+        ids=["superscript_digit", "long_natural", "long_sum", "deep_tower"],
+    )
+    def test_bad_input_is_one_syntax_error_record(self, line):
+        results, _ = evaluate_line(line, EMPTY_CONTEXT)
+        assert len(results) == 1
+        assert results[0].verdict == "error"
+        assert results[0].notes[0].startswith("error: syntax error at line 1, column ")
+
+    def test_batch_keeps_going_past_a_deep_line(self):
+        out = io.StringIO()
+        status = run_batch(["cf(aleph(1))", DEEP_TOWER, "cf(aleph(2))"], EMPTY_CONTEXT, out, as_json=True)
+        records = out.getvalue().splitlines()
+        assert status == 1
+        assert len(records) == 3
+        assert '"verdict": "error"' in records[1]
+
+    @pytest.mark.parametrize("kind", sorted(NESTERS))
+    def test_nesting_bound(self, kind):
+        text = NESTERS[kind](MAX_NESTING)
+        ast = parse(text)
+        assert parse(format_statement(ast)) == ast
+        with pytest.raises(ParseError, match=f"at most {MAX_NESTING} levels of nesting"):
+            parse(NESTERS[kind](MAX_NESTING + 1))
+
+    def test_nesting_error_is_at_the_first_token_beyond_the_bound(self):
+        with pytest.raises(ParseError) as err:
+            parse(NESTERS["aleph"](MAX_NESTING + 1))
+        assert (err.value.line, err.value.col) == (1, len("aleph(") * (MAX_NESTING + 1) + 1)
+        assert err.value.found == "1"
+
+    def test_positions_on_a_second_line(self):
+        tokens = tokenize("cf(\n  aleph(1))")
+        assert [(t.kind, t.line, t.col) for t in tokens[2:4]] == [("ident", 2, 3), ("(", 2, 8)]
+        assert (tokens[-1].line, tokens[-1].col) == (2, 12)
+        with pytest.raises(ParseError) as err:
+            parse("cf(aleph(1),\n  aleph(2) @)")
+        assert (err.value.line, err.value.col) == (2, 12)
+        assert err.value.found == "'@'"
+
+
+@st.composite
+def mutated_golden_lines(draw):
+    line = draw(st.sampled_from(GOLDEN_LINES))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(line)))
+        j = draw(st.integers(min_value=i, max_value=min(len(line), i + 6)))
+        insert = draw(st.text(alphabet="()[]{},;+*^=->_ 019wW\u00b2\nalephincsu", max_size=4))
+        line = line[:i] + insert + line[j:]
+    return line
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.text(), mutated_golden_lines()))
+@example(SUPERSCRIPT_DIGIT)
+@example(LONG_NATURAL)
+@example(LONG_SUM)
+@example(DEEP_TOWER)
+def test_evaluate_line_never_raises(text):
+    results, _ = evaluate_line(text, EMPTY_CONTEXT)
+    if not results:
+        ast = parse(text)
+        items = ast.items if isinstance(ast, Session) else (ast,)
+        assert all(isinstance(item, Assume) for item in items)
