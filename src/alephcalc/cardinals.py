@@ -108,9 +108,11 @@ def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
             return Ordering.LESS
         if not isinstance(b, CardinalAtom):
             return Ordering.GREATER
-        if a.name == b.name:
+        # By name, then by flag, so that EQUAL agrees with ==.
+        ka, kb = (a.name, a.weakly_inaccessible), (b.name, b.weakly_inaccessible)
+        if ka == kb:
             return Ordering.EQUAL
-        return Ordering.LESS if a.name < b.name else Ordering.GREATER
+        return Ordering.LESS if ka < kb else Ordering.GREATER
     assert isinstance(a, Aleph) and isinstance(b, Aleph)
     if (a.base is None) != (b.base is None):
         # A present base is uncountable while a bare tail is a countable

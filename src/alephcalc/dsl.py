@@ -45,6 +45,8 @@ MAX_NESTING = 64
 # Below int()'s 4300-digit string limit with room to spare, so that any sum
 # of naturals written on one line still converts back to a string.
 MAX_DIGITS = 4000
+# An error names at most this many characters of the token it stopped at.
+MAX_FOUND = 32
 
 T = TypeVar("T")
 
@@ -54,9 +56,9 @@ class ParseError(Exception):
         self.line = line
         self.col = col
         self.expected = expected
-        self.found = found
+        self.found = found if len(found) <= MAX_FOUND else found[:MAX_FOUND] + "..."
         want = ", ".join(expected)
-        super().__init__(f"syntax error at line {line}, column {col}: expected {want}, found {found}")
+        super().__init__(f"syntax error at line {line}, column {col}: expected {want}, found {self.found}")
 
 
 # --- AST ---------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .dsl import (
 from .hypotheses import (
     Determined,
     HypothesisContext,
+    Independent,
     Verdict,
     ZeroSharp,
     extend_context,
@@ -107,36 +108,28 @@ def _coerce(name: str, i: int, kind: str, arg: Ast):
     raise QueryError(f"argument {i + 1} of {name} must be {_KIND_NAMES[kind]}")
 
 
-def _from_verdict(name: str, v: Verdict, *, independent_value: str | None = None,
+# Caveats every record of a shaped answer carries, after the caller's notes.
+_CAVEATS: dict[type, tuple[str, ...]] = {
+    sizes.SizeInterval: ("certified bounds only; the interval is not known to be tight",),
+    spectra.AtLeastCard: ("lower bound only; exactness is open",),
+}
+
+
+def _from_verdict(name: str, v: Verdict | sizes.SizeVerdict | spectra.CountValue, *,
+                  independent_value: str | None = None,
                   notes: tuple[str, ...] = ()) -> QueryResult:
-    if isinstance(v, Determined):
-        return QueryResult(name, "determined", _render(v.value), v.used, notes)
-    return QueryResult(
-        name,
-        "independent",
-        independent_value,
-        v.used,
-        notes + tuple(f"missing: {m}" for m in v.missing),
-    )
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _render_count(name: str, c: spectra.CountValue, notes: tuple[str, ...] = ()) -> QueryResult:
-    if isinstance(c, spectra.Finite):
-        return QueryResult(name, "determined", str(c.n), c.used, notes)
-    if isinstance(c, spectra.ZeroCount):
-        return QueryResult(name, "determined", "0", c.used, notes)
-    if isinstance(c, spectra.Card):
-        return QueryResult(name, "determined", str(c.value), c.used, notes)
-    if isinstance(c, spectra.AtLeastCard):
-        return QueryResult(name, "determined", f">={c.value}", c.used,
-                           notes + ("lower bound only; exactness is open",))
-    return QueryResult(name, "independent", None, (), notes + (f"missing: {c.reason}",))
+    """The record of any engine answer: a verdict, or a shaped size or count."""
+    if isinstance(v, Independent):
+        return QueryResult(
+            name,
+            "independent",
+            independent_value,
+            v.used,
+            notes + tuple(f"missing: {m}" for m in v.missing),
+        )
+    value = v.value if isinstance(v, Determined) else v
+    text = ("true" if value else "false") if isinstance(value, bool) else str(value)
+    return QueryResult(name, "determined", text, v.used, notes + _CAVEATS.get(type(v), ()))
 
 
 def _succ_str(c: CardinalExpr) -> str:
@@ -147,46 +140,28 @@ def _succ_str(c: CardinalExpr) -> str:
         return f"the successor of {c}"
 
 
-def _render_size(name: str, params: sizes.ClassParams, verdict: sizes.SizeVerdict) -> QueryResult:
-    if isinstance(verdict, sizes.BelowLS):
-        return QueryResult(
-            name, "determined", f"<={params.ls}", (),
-            (f"presentability rank at most {_succ_str(params.ls)}",),
-        )
-    if isinstance(verdict, sizes.Exact):
-        return QueryResult(
-            name, "determined", str(verdict.value), verdict.used,
-            (f"presentability rank {_succ_str(verdict.value)}",),
-        )
-    if isinstance(verdict, sizes.TwoCandidates):
-        return QueryResult(
-            name, "determined", f"{{{verdict.lo}, {verdict.hi}}}", verdict.used,
-            (f"presentability rank {_succ_str(verdict.lo)} or {_succ_str(verdict.hi)}",),
-        )
-    if isinstance(verdict, sizes.SizeInterval):
-        return QueryResult(
-            name, "determined", f"[{verdict.lo}, {verdict.hi}]", verdict.used,
-            ("certified bounds only; the interval is not known to be tight",),
-        )
-    return QueryResult(name, "independent", None, (), (f"missing: {verdict.reason}",))
-
-
 # --- queries -----------------------------------------------------------------
 
 
 def _internal_size(name, ctx, mu, ls, lam):
-    params = sizes.ClassParams(mu=mu, ls=ls)
-    return _render_size(name, params, sizes.internal_size_of_cardinality(params, lam, ctx))
+    v = sizes.internal_size_of_cardinality(sizes.ClassParams(mu=mu, ls=ls), lam, ctx)
+    if isinstance(v, sizes.BelowLS):
+        return _from_verdict(name, Determined(f"<={ls}"),
+                             notes=(f"presentability rank at most {_succ_str(ls)}",))
+    if isinstance(v, Determined):
+        notes = (f"presentability rank {_succ_str(v.value)}",)
+    elif isinstance(v, sizes.TwoCandidates):
+        notes = (f"presentability rank {_succ_str(v.lo)} or {_succ_str(v.hi)}",)
+    else:
+        notes = ()
+    return _from_verdict(name, v, notes=notes)
 
 
 def _existence_window(name, ctx, mu, lam):
     lo, hi = sizes.existence_window(mu, lam, ctx)
     if isinstance(hi, Determined):
-        return QueryResult(name, "determined", f"[{lo}, {hi.value}]", hi.used)
-    return QueryResult(
-        name, "independent", f"[{lo}, {lo}^<{mu}]", hi.used,
-        tuple(f"missing: {m}" for m in hi.missing),
-    )
+        hi = Determined(f"[{lo}, {hi.value}]", hi.used)
+    return _from_verdict(name, hi, independent_value=f"[{lo}, {lo}^<{mu}]")
 
 
 def _existence_at(name, ctx, mu, ls, lam, intersections):
@@ -232,16 +207,16 @@ QUERIES: dict[str, tuple[tuple[str, ...], Callable[..., QueryResult]]] = {
     "existence_at": (("card", "card", "card", "bool"), _existence_at),
     "no_model_rule": (("card",) * 6, _no_model_rule),
     "hilbert_card": (("card",), lambda n, ctx, lam:
-                     _render_count(n, spectra.hilbert_count_by_cardinality(lam, ctx),
-                                   ("counting infinite-dimensional spaces only",))),
+                     _from_verdict(n, spectra.hilbert_count_by_cardinality(lam, ctx),
+                                   notes=("counting infinite-dimensional spaces only",))),
     "hilbert_internal": (("card",), lambda n, ctx, lam:
-                         _render_count(n, spectra.hilbert_count_by_internal_size(lam))),
+                         _from_verdict(n, spectra.hilbert_count_by_internal_size(lam))),
     "wo_size": (("ord", "card"), lambda n, ctx, alpha, lam:
                 _from_verdict(n, Determined(spectra.wellorder_internal_size(*alpha, lam)))),
     "shelah_card": (("card", "card"), lambda n, ctx, mu, lam:
-                    _render_count(n, spectra.shelah_count_by_cardinality(mu, lam, ctx))),
+                    _from_verdict(n, spectra.shelah_count_by_cardinality(mu, lam, ctx))),
     "shelah_internal": (("card", "card"), lambda n, ctx, mu, lam:
-                        _render_count(n, spectra.shelah_count_by_internal_size(mu, lam, ctx))),
+                        _from_verdict(n, spectra.shelah_count_by_internal_size(mu, lam, ctx))),
 }
 
 QUERY_SIGNATURES: dict[str, tuple[str, ...]] = {name: kinds for name, (kinds, _) in QUERIES.items()}

@@ -53,6 +53,10 @@ class Independent:
         if not self.missing:
             raise ValueError("an Independent verdict must name a missing assumption")
 
+    @property
+    def reason(self) -> str:
+        return "; ".join(self.missing)
+
 
 Verdict = Union[Determined[T], Independent]
 

@@ -97,10 +97,6 @@ def _term_str(exp: CnfOrdinal, coeff: int) -> str:
     return body if coeff == 1 else f"{body}*{coeff}"
 
 
-def cnf(*terms: tuple["CnfOrdinal", int]) -> CnfOrdinal:
-    return CnfOrdinal(tuple(terms))
-
-
 def from_int(n: int) -> CnfOrdinal:
     if n < 0:
         raise ValueError("ordinals are nonnegative")

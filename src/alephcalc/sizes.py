@@ -66,12 +66,6 @@ class BelowLS:
 
 
 @dataclass(frozen=True)
-class Exact:
-    value: CardinalExpr
-    used: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class TwoCandidates:
     lo: CardinalExpr
     hi: CardinalExpr
@@ -80,6 +74,9 @@ class TwoCandidates:
     def __post_init__(self) -> None:
         if self.hi != successor(self.lo):
             raise ValueError("candidates must be a cardinal and its successor")
+
+    def __str__(self) -> str:
+        return f"{{{self.lo}, {self.hi}}}"
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,16 @@ class SizeInterval:
         if card_compare(self.lo, self.hi) is Ordering.GREATER:
             raise ValueError("interval endpoints out of order")
 
-
-@dataclass(frozen=True)
-class Undetermined:
-    reason: str
+    def __str__(self) -> str:
+        return f"[{self.lo}, {self.hi}]"
 
 
-SizeVerdict = BelowLS | Exact | TwoCandidates | SizeInterval | Undetermined
+# An exact internal size is a Determined cardinal; an unsettled one is an
+# Independent whose one missing entry says what would settle it.
+Exact = Determined
+Undetermined = Independent
+
+SizeVerdict = BelowLS | Determined | TwoCandidates | SizeInterval | Independent
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def internal_size_of_cardinality(
     mu = params.mu
     closed = is_mu_closed(lam, mu, ctx)
     if is_true(closed):
-        return Exact(lam, closed.used)
+        return Determined(lam, closed.used)
     kind = card_index_classify(lam)
     if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
         sch = sch_holds_at(ctx, mu, lam)
@@ -145,11 +145,11 @@ def internal_size_of_cardinality(
             base = is_mu_closed(ls_succ, mu, ctx)
             if is_true(base):
                 return SizeInterval(ls_succ, lam, tight=False, used=base.used)
-    missing = closed.missing if isinstance(closed, Independent) else (f"SCH({mu}) below {lam}",)
-    return Undetermined(
+    missing = closed.reason if isinstance(closed, Independent) else f"SCH({mu}) below {lam}"
+    return Independent((
         f"mu-closedness of {lam} at {mu} is undecided and no mu-closed regular cardinal in "
-        f"({params.ls}, {lam}] is certified (missing: {'; '.join(missing)})"
-    )
+        f"({params.ls}, {lam}] is certified (missing: {missing})",
+    ))
 
 
 def colimit_presentability_bound(

@@ -36,6 +36,7 @@ from .hypotheses import (
     CardinalInterval,
     Determined,
     HypothesisContext,
+    Independent,
     ZeroSharp,
     is_true,
     l_cofinality,
@@ -54,11 +55,8 @@ class Finite:
         if self.n < 1:
             raise ValueError("finite counts start at 1; use ZeroCount for none")
 
-
-@dataclass(frozen=True)
-class Card:
-    value: CardinalExpr
-    used: tuple[str, ...] = ()
+    def __str__(self) -> str:
+        return str(self.n)
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,24 @@ class AtLeastCard:
     value: CardinalExpr
     used: tuple[str, ...] = ()
 
+    def __str__(self) -> str:
+        return f">={self.value}"
+
 
 @dataclass(frozen=True)
 class ZeroCount:
     used: tuple[str, ...] = ()
 
-
-@dataclass(frozen=True)
-class UndeterminedCount:
-    reason: str
+    def __str__(self) -> str:
+        return "0"
 
 
-CountValue = Finite | Card | AtLeastCard | ZeroCount | UndeterminedCount
+# An exact infinite count is a Determined cardinal; an unsettled count is an
+# Independent whose one missing entry says what would settle it.
+Card = Determined
+UndeterminedCount = Independent
+
+CountValue = Finite | Determined | AtLeastCard | ZeroCount | Independent
 
 
 # --- Hilbert spaces ---------------------------------------------------------
@@ -93,10 +97,10 @@ def hilbert_count_by_cardinality(lam: CardinalExpr, ctx: HypothesisContext) -> C
     if lam <= ALEPH0:
         raise ValueError("requires an uncountable cardinal")
     if not ctx.gch:
-        return UndeterminedCount(
+        return Independent((
             "count is |beta|+1 where lam^{aleph_0} = aleph_{alpha+beta} with alpha least "
-            "such that aleph_alpha^{aleph_0} = lam^{aleph_0}; this needs the continuum function (assume GCH)"
-        )
+            "such that aleph_alpha^{aleph_0} = lam^{aleph_0}; this needs the continuum function (assume GCH)",
+        ))
     if cofinality(lam) == ALEPH0:
         return ZeroCount(("GCH",))
     kind = card_index_classify(lam)
@@ -162,31 +166,21 @@ def shelah_count_by_cardinality(
     if ctx.v_equals_l:
         if cofinality(lam) < mu:
             return Finite(1, ("V=L",))
-        return Card(successor(lam), ("V=L",))
+        return Determined(successor(lam), ("V=L",))
     if ctx.zero_sharp is ZeroSharp.EXISTS:
-        return Card(successor(lam), ("sharp",))
+        return Determined(successor(lam), ("sharp",))
     if ctx.zero_sharp is ZeroSharp.NOT_EXISTS:
         return _count_without_sharp(mu, lam)
     with_sharp = successor(lam)
     without = _count_without_sharp(mu, lam)
-    if isinstance(without, Card) and without.value == with_sharp:
+    if isinstance(without, Determined) and without.value == with_sharp:
         # Both 0# branches agree, so the count is a ZFC fact at this point.
-        return Card(with_sharp)
-    return UndeterminedCount(
-        f"the status of 0# (with sharp: {with_sharp}; without: {_render(without)})"
-    )
-
-
-def _render(c: CountValue) -> str:
-    if isinstance(c, Finite):
-        return str(c.n)
-    if isinstance(c, Card):
-        return str(c.value)
-    if isinstance(c, AtLeastCard):
-        return f">={c.value}"
-    if isinstance(c, ZeroCount):
-        return "0"
-    return "undetermined"
+        return Determined(with_sharp)
+    if isinstance(without, Independent):
+        shown = "undetermined"
+    else:
+        shown = without.value if isinstance(without, Determined) else without
+    return Independent((f"the status of 0# (with sharp: {with_sharp}; without: {shown})",))
 
 
 def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
@@ -200,17 +194,17 @@ def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
         if cf_l < mu:
             return Finite(1, used)
         if _cond3_certified(mu, lam):
-            return Card(successor(lam), used)
+            return Determined(successor(lam), used)
         return AtLeastCard(lam, used)
     # cf(lam) = aleph_0, so cf^L(lam) is aleph_0 or aleph_1.
     if mu >= ALEPH2:
         return Finite(1, used)
     if mu == ALEPH0:
         # cf^L >= aleph_0 trivially and condition (3) is automatic.
-        return Card(successor(lam), used)
-    return UndeterminedCount(
-        f"cf^L({lam}) lies in [aleph(0), aleph(1)] and mu = aleph(1) sits between the cases"
-    )
+        return Determined(successor(lam), used)
+    return Independent((
+        f"cf^L({lam}) lies in [aleph(0), aleph(1)] and mu = aleph(1) sits between the cases",
+    ))
 
 
 def shelah_count_by_internal_size(
@@ -228,6 +222,6 @@ def shelah_count_by_internal_size(
     sch = sch_holds_at(ctx, mu, lam)
     if is_true(sch):
         return AtLeastCard(successor(lam), sch.used)
-    return UndeterminedCount(
-        f"neither regularity nor mu-closedness of {lam} nor SCH({mu}) below {lam} is available"
-    )
+    return Independent((
+        f"neither regularity nor mu-closedness of {lam} nor SCH({mu}) below {lam} is available",
+    ))

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from alephcalc import (
     ALEPH0,
@@ -27,6 +28,8 @@ A_W = aleph(OMEGA)
 A_W1 = aleph(cnf_add(OMEGA, ORD_ONE))
 A_OMEGA1 = Aleph(ALEPH1)  # aleph indexed by the initial ordinal omega_1
 THETA = CardinalAtom("theta", weakly_inaccessible=True)
+# Atoms with either flag: a plain atom and an inaccessible may share a name.
+ANY_ATOMS = st.builds(CardinalAtom, st.sampled_from(("theta", "kappa")), st.booleans())
 
 
 class TestCompare:
@@ -47,6 +50,17 @@ class TestCompare:
         ba = card_compare(b, a)
         assert ab.value == -ba.value
         assert (ab is Ordering.EQUAL) == (a == b)
+
+    @given(
+        st.one_of(ANY_ATOMS, cardinals()),
+        st.one_of(ANY_ATOMS, cardinals()),
+    )
+    def test_order_agrees_with_equality_for_every_atom(self, a, b):
+        ab = card_compare(a, b)
+        assert ab.value == -card_compare(b, a).value
+        assert (ab is Ordering.EQUAL) == (a == b)
+        if a == b:
+            assert hash(a) == hash(b)
 
     @given(cardinals(with_atoms=True), cardinals(with_atoms=True), cardinals(with_atoms=True))
     def test_transitive(self, a, b, c):

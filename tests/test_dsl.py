@@ -24,6 +24,7 @@ from alephcalc import (
     run_batch,
 )
 from alephcalc.dsl import (
+    MAX_FOUND,
     MAX_NESTING,
     Assume,
     AssumeGch,
@@ -232,6 +233,39 @@ class TestEvaluate:
         assert results[0].value == "inacc(theta)"
         assert "presentability rank the successor of inacc(theta)" in results[0].notes
 
+    @pytest.mark.parametrize("line, record", [
+        ("internal_size(aleph(1), aleph(1), aleph(w+1))",
+         '{"query": "internal_size(aleph(1), aleph(1), aleph(w+1))", "verdict": "independent", '
+         '"value": null, "assumptions_used": [], "notes": ["missing: mu-closedness of aleph(w+1) '
+         'at aleph(1) is undecided and no mu-closed regular cardinal in (aleph(1), aleph(w+1)] '
+         'is certified (missing: SCH(aleph(1)) below aleph(w+1))"]}'),
+        ("hilbert_card(aleph(1))",
+         '{"query": "hilbert_card(aleph(1))", "verdict": "independent", "value": null, '
+         '"assumptions_used": [], "notes": ["counting infinite-dimensional spaces only", '
+         '"missing: count is |beta|+1 where lam^{aleph_0} = aleph_{alpha+beta} with alpha least '
+         'such that aleph_alpha^{aleph_0} = lam^{aleph_0}; this needs the continuum function '
+         '(assume GCH)"]}'),
+        ("shelah_internal(aleph(1), aleph(w))",
+         '{"query": "shelah_internal(aleph(1), aleph(w))", "verdict": "independent", "value": null, '
+         '"assumptions_used": [], "notes": ["missing: neither regularity nor mu-closedness of '
+         'aleph(w) nor SCH(aleph(1)) below aleph(w) is available"]}'),
+        ("shelah_card(aleph(2), aleph(w))",
+         '{"query": "shelah_card(aleph(2), aleph(w))", "verdict": "independent", "value": null, '
+         '"assumptions_used": [], "notes": ["missing: the status of 0# (with sharp: aleph(w+1); '
+         'without: 1)"]}'),
+        ("shelah_card(aleph(1), aleph(2))",
+         '{"query": "shelah_card(aleph(1), aleph(2))", "verdict": "independent", "value": null, '
+         '"assumptions_used": [], "notes": ["missing: the status of 0# (with sharp: aleph(3); '
+         'without: >=aleph(2))"]}'),
+        ("shelah_card(aleph(1), aleph(w))",
+         '{"query": "shelah_card(aleph(1), aleph(w))", "verdict": "independent", "value": null, '
+         '"assumptions_used": [], "notes": ["missing: the status of 0# (with sharp: aleph(w+1); '
+         'without: undetermined)"]}'),
+    ])
+    def test_undetermined_size_and_count_records(self, line, record):
+        results, _ = evaluate_line(line, EMPTY_CONTEXT)
+        assert [r.to_json_line() for r in results] == [record]
+
     def test_unknown_query_and_arity_errors(self):
         results, _ = evaluate_line("frobnicate(aleph(1))", EMPTY_CONTEXT)
         assert results[0].verdict == "error"
@@ -346,6 +380,16 @@ class TestFrontEndContract:
         assert len(results) == 1
         assert results[0].verdict == "error"
         assert results[0].notes[0].startswith("error: syntax error at line 1, column ")
+
+    @pytest.mark.parametrize("line", ["aleph(" + "1" * 5000 + ")", "cf(" + "x" * 5000 + ")"],
+                             ids=["long_natural", "long_identifier"])
+    def test_long_token_gives_a_short_note(self, line):
+        results, _ = evaluate_line(line, EMPTY_CONTEXT)
+        assert len(results) == 1
+        assert results[0].query == line
+        (note,) = results[0].notes
+        assert len(note) < 200
+        assert note.endswith(", found " + line[line.index("(") + 1:][:MAX_FOUND] + "...")
 
     def test_batch_keeps_going_past_a_deep_line(self):
         out = io.StringIO()
