@@ -23,7 +23,8 @@ from .ordinals import (
     CnfOrdinal,
     Ordering,
     Successor,
-    Zero,
+    _HashConsed,
+    _interned,
     cnf_add,
     cnf_compare,
     from_int,
@@ -38,6 +39,8 @@ class UnclassifiedAtomError(ValueError):
 class CardinalExpr:
     """Base class for symbolic infinite cardinals; totally ordered."""
 
+    __slots__ = ()
+
     def __lt__(self, other: "CardinalExpr") -> bool:
         return card_compare(self, other) is Ordering.LESS
 
@@ -51,12 +54,13 @@ class CardinalExpr:
         return card_compare(self, other) is not Ordering.LESS
 
 
-@dataclass(frozen=True, repr=False)
-class Aleph(CardinalExpr):
-    base: CardinalExpr | None = None
-    tail: CnfOrdinal = ORD_ZERO
+class Aleph(CardinalExpr, _HashConsed):
+    __slots__ = ("base", "tail")
 
-    def __post_init__(self) -> None:
+    def __new__(cls, base: CardinalExpr | None = None, tail: CnfOrdinal = ORD_ZERO) -> Aleph:
+        return _interned(cls, (base, tail), check=True)
+
+    def _check(self) -> None:
         if self.base is not None:
             if not isinstance(self.base, Aleph):
                 raise ValueError("index base must be an aleph (atoms are their own fixed points)")
@@ -65,15 +69,12 @@ class Aleph(CardinalExpr):
                 # as a base would break representation uniqueness.
                 raise ValueError("index base must be uncountable; write a countable index as a CNF tail")
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         if self.base is None:
             return f"aleph({self.tail})"
         if self.tail.is_zero:
             return f"aleph({self.base})"
         return f"aleph({self.base}+{self.tail})"
-
-    def __repr__(self) -> str:
-        return str(self)
 
 
 @dataclass(frozen=True, repr=False)
@@ -103,6 +104,8 @@ ALEPH2 = aleph(2)
 
 def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
     """Total order agreeing with true cardinal order on the aleph fragment."""
+    if a is b:
+        return Ordering.EQUAL
     if isinstance(a, CardinalAtom) or isinstance(b, CardinalAtom):
         if not isinstance(a, CardinalAtom):
             return Ordering.LESS
@@ -114,14 +117,12 @@ def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
             return Ordering.EQUAL
         return Ordering.LESS if ka < kb else Ordering.GREATER
     assert isinstance(a, Aleph) and isinstance(b, Aleph)
-    if (a.base is None) != (b.base is None):
-        # A present base is uncountable while a bare tail is a countable
-        # ordinal, so the based index is strictly larger.
-        return Ordering.GREATER if a.base is not None else Ordering.LESS
-    if a.base is not None and b.base is not None:
-        by_base = card_compare(a.base, b.base)
-        if by_base is not Ordering.EQUAL:
-            return by_base
+    # Alephs are interned: the first field that is not the same object decides.
+    if a.base is not b.base:
+        if a.base is None or b.base is None:
+            # An uncountable base exceeds every countable bare tail.
+            return Ordering.GREATER if a.base is not None else Ordering.LESS
+        return card_compare(a.base, b.base)
     return cnf_compare(a.tail, b.tail)
 
 
@@ -167,16 +168,10 @@ def cofinality(c: CardinalExpr) -> CardinalExpr:
             return c
         raise UnclassifiedAtomError("unclassified atom")
     assert isinstance(c, Aleph)
-    kind = ord_classify(c.tail)
-    if isinstance(kind, Successor):
-        return c
-    if isinstance(kind, Zero):
-        if c.base is None:
-            return ALEPH0
-        return cofinality(c.base)
-    # Nonzero limit tail: a CNF ordinal below epsilon_0 is countable, so the
-    # index has cofinality omega.
-    return ALEPH0
+    if c.tail.is_zero:
+        return ALEPH0 if c.base is None else cofinality(c.base)
+    # A successor index is regular; a nonzero limit tail is countable: cofinality omega.
+    return c if c.tail.terms[-1][0].is_zero else ALEPH0
 
 
 def is_regular(c: CardinalExpr) -> bool:

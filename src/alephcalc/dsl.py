@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, TypeVar, Union
 
 from .cardinals import ALEPH0, Aleph, CardinalAtom, CardinalExpr, card_compare
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
-from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, cnf_add, from_int, omega_power
+from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, cnf_sum, from_int, omega_power
 
 # Deeper input would exhaust the interpreter's stack in the engine or the
 # formatter; a probe found both safe to about 160 levels of w^.
@@ -309,24 +309,24 @@ class _Parser:
     def index_expr(self) -> CardinalLiteral | OrdinalLiteral:
         """Sum of index terms folded into (cardinal base, CNF tail)."""
         base: CardinalExpr | None = None
-        tail = ORD_ZERO
+        terms: list[tuple[CnfOrdinal, int]] = []
         single_cardinal: CardinalExpr | None = None
         first = True
         while True:
             tok = self.peek()
             if tok.kind == "nat":
                 self.advance()
-                tail = cnf_add(tail, from_int(self.nat(tok)))
+                terms.append((ORD_ZERO, self.nat(tok)))
                 single_cardinal = None
             elif tok.kind == "ident" and tok.text == "w":
-                tail = cnf_add(tail, self.omega_term())
+                terms.append(self.omega_term())
                 single_cardinal = None
             elif tok.kind == "ident" and _CARDINAL_WORD.fullmatch(tok.text):
                 card = self.cardinal_primary()
                 if card == ALEPH0:
                     # In a composite index aleph_0 contributes its initial
                     # ordinal w; standing alone it stays the cardinal.
-                    tail = cnf_add(tail, OMEGA)
+                    terms.append((ORD_ONE, 1))
                     single_cardinal = card if first else None
                 else:
                     if base is not None and card_compare(base, card) is not Ordering.LESS:
@@ -335,7 +335,7 @@ class _Parser:
                             ("a cardinal term dominating the preceding ones",), tok.text,
                         )
                     base = card
-                    tail = ORD_ZERO
+                    terms = []
                     single_cardinal = card if first else None
             else:
                 raise self.fail("a number", "w", "aleph(...)", "inacc(...)")
@@ -344,9 +344,9 @@ class _Parser:
                 break
         if single_cardinal is not None:
             return CardinalLiteral(single_cardinal)
-        return OrdinalLiteral(base, tail)
+        return OrdinalLiteral(base, cnf_sum(*terms))
 
-    def omega_term(self) -> CnfOrdinal:
+    def omega_term(self) -> tuple[CnfOrdinal, int]:
         self.advance()  # 'w'
         exp = ORD_ONE
         if self.accept("^"):
@@ -357,7 +357,7 @@ class _Parser:
             coeff = self.nat(tok)
             if coeff < 1:
                 raise ParseError(tok.line, tok.col, ("a positive coefficient",), tok.text)
-        return omega_power(exp, coeff)
+        return exp, coeff
 
     def exponent(self) -> CnfOrdinal:
         tok = self.peek()

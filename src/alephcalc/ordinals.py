@@ -2,15 +2,18 @@
 
 A ``CnfOrdinal`` is a finite sequence of (exponent, coefficient) terms with
 strictly decreasing exponents and coefficients >= 1; the empty sequence is 0.
-The representation is unique: structural equality is ordinal equality.  These
-ordinals index alephs and carry the exponent arithmetic the cardinal layer
-needs; multiplication and exponentiation are deliberately absent.
+The representation is unique, and values are interned: equal ordinals are
+one object.  These ordinals index alephs and carry the exponent arithmetic
+the cardinal layer needs; multiplication and exponentiation are absent.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+import weakref
 from dataclasses import dataclass
+from _weakref import _remove_dead_weakref
 
 
 class Ordering(enum.Enum):
@@ -19,11 +22,71 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-@dataclass(frozen=True, repr=False)
-class CnfOrdinal:
-    terms: tuple[tuple["CnfOrdinal", int], ...] = ()
+_TABLE: dict[tuple, _Ref] = {}
+_LOCK = threading.Lock()
 
-    def __post_init__(self) -> None:
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _interned(cls, fields: tuple, check: bool):
+    """Hash-consing: the one live ``cls`` object with these field values.  A
+    miss builds it, runs ``_check`` if asked and publishes a weak reference."""
+    key = (cls, *fields)
+    obj = (ref := _TABLE.get(key)) and ref()
+    if obj is not None:
+        return obj
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "_str", None)
+    if check:
+        obj._check()
+    with _LOCK:  # another thread may have published an equal object meanwhile
+        found = (ref := _TABLE.get(key)) and ref()
+        if found is not None:
+            return found
+        ref = _TABLE[key] = _Ref(obj, _forget)
+        ref.key = key
+    return obj
+
+
+def _forget(ref: _Ref) -> None:
+    # Deletes the entry atomically and only while dead: a republished key stays.
+    _remove_dead_weakref(_TABLE, ref.key)
+
+
+class _HashConsed:
+    """A value built by ``_interned`` from the fields its ``__slots__`` name.
+    Equal values are one object, so ``==`` and ``hash`` are identity; copy and
+    pickle rebuild through the constructor; ``_render`` runs once for ``str``."""
+
+    __slots__ = ("_str", "__weakref__")
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __str__(self) -> str:
+        if self._str is None:
+            object.__setattr__(self, "_str", self._render())
+        return self._str
+
+    __repr__ = __str__
+
+
+class CnfOrdinal(_HashConsed):
+    __slots__ = ("terms",)
+
+    def __new__(cls, terms: tuple[tuple[CnfOrdinal, int], ...] = ()) -> CnfOrdinal:
+        return _interned(cls, (terms,), check=True)
+
+    def _check(self) -> None:
         prev = None
         for exp, coeff in self.terms:
             if not isinstance(exp, CnfOrdinal) or coeff < 1:
@@ -33,12 +96,9 @@ class CnfOrdinal:
             prev = exp
 
     @classmethod
-    def _raw(cls, terms: tuple[tuple["CnfOrdinal", int], ...]) -> "CnfOrdinal":
-        # Construction bypass for results that are valid by construction
-        # (validation costs a comparison per adjacent term pair).
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
-        return obj
+    def _raw(cls, terms: tuple[tuple[CnfOrdinal, int], ...]) -> CnfOrdinal:
+        # For results valid by construction: skips a comparison per term pair.
+        return _interned(cls, (terms,), check=False)
 
     @property
     def is_zero(self) -> bool:
@@ -69,13 +129,8 @@ class CnfOrdinal:
     def __add__(self, other: "CnfOrdinal") -> "CnfOrdinal":
         return cnf_add(self, other)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return "+".join(_term_str(e, c) for e, c in self.terms)
-
-    def __repr__(self) -> str:
-        return str(self)
+    def _render(self) -> str:
+        return "+".join(_term_str(e, c) for e, c in self.terms) if self.terms else "0"
 
 
 def _exp_needs_parens(exp: CnfOrdinal) -> bool:
@@ -113,37 +168,37 @@ OMEGA = CnfOrdinal(((ORD_ONE, 1),))
 
 
 def cnf_compare(a: CnfOrdinal, b: CnfOrdinal) -> Ordering:
-    """Total order on CNF ordinals: lexicographic on (exponent, coefficient)."""
+    """Total order on CNF ordinals: lexicographic on (exponent, coefficient).
+    Distinct interned objects are unequal, so no equal pair is walked."""
+    if a is b:
+        return Ordering.EQUAL
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        by_exp = cnf_compare(ea, eb)
-        if by_exp is not Ordering.EQUAL:
-            return by_exp
+        if ea is not eb:
+            return cnf_compare(ea, eb)
         if ca != cb:
             return Ordering.LESS if ca < cb else Ordering.GREATER
-    if len(a.terms) != len(b.terms):
-        return Ordering.LESS if len(a.terms) < len(b.terms) else Ordering.GREATER
-    return Ordering.EQUAL
+    return Ordering.LESS if len(a.terms) < len(b.terms) else Ordering.GREATER
+
+
+def cnf_sum(*terms: tuple[CnfOrdinal, int]) -> CnfOrdinal:
+    """The ordinal sum of w^exp*coeff over the terms, in the order given: a
+    term absorbs the smaller terms before it and merges with an equal one."""
+    out: list[tuple[CnfOrdinal, int]] = []
+    for exp, coeff in terms:
+        if not coeff:
+            continue
+        while out and cnf_compare(out[-1][0], exp) is Ordering.LESS:
+            out.pop()
+        if out and out[-1][0] is exp:
+            out[-1] = (exp, out[-1][1] + coeff)
+        else:
+            out.append((exp, coeff))
+    return CnfOrdinal._raw(tuple(out))
 
 
 def cnf_add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     """Ordinal sum a + b: terms of a below b's leading exponent are absorbed."""
-    if not b.terms:
-        return a
-    lead = b.terms[0][0]
-    kept = []
-    merged_coeff = b.terms[0][1]
-    for exp, coeff in a.terms:
-        cmp = cnf_compare(exp, lead)
-        if cmp is Ordering.GREATER:
-            kept.append((exp, coeff))
-        elif cmp is Ordering.EQUAL:
-            merged_coeff += coeff
-            break
-        else:
-            break
-    kept.append((lead, merged_coeff))
-    kept.extend(b.terms[1:])
-    return CnfOrdinal._raw(tuple(kept))
+    return cnf_sum(*a.terms, *b.terms) if b.terms else a
 
 
 @dataclass(frozen=True)
@@ -171,8 +226,5 @@ def ord_classify(a: CnfOrdinal) -> OrdinalKind:
     exp, coeff = a.terms[-1]
     if not exp.is_zero:
         return Limit()
-    if coeff > 1:
-        pred = CnfOrdinal._raw(a.terms[:-1] + ((exp, coeff - 1),))
-    else:
-        pred = CnfOrdinal._raw(a.terms[:-1])
-    return Successor(pred)
+    last = ((exp, coeff - 1),) if coeff > 1 else ()
+    return Successor(CnfOrdinal._raw(a.terms[:-1] + last))

@@ -43,7 +43,7 @@ from .hypotheses import (
     sch_holds_at,
 )
 from .arithmetic import is_mu_closed
-from .ordinals import CnfOrdinal, Ordering, Successor, Zero, ord_classify
+from .ordinals import CnfOrdinal, Ordering
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,8 @@ def wellorder_internal_size(
         cmp = card_compare(alpha_base, lam_plus)
         if cmp is Ordering.GREATER or (cmp is Ordering.EQUAL and not alpha_tail.is_zero):
             raise ValueError("outside class")
-    kind = ord_classify(alpha_tail)
-    if isinstance(kind, Successor):
-        return ALEPH0
-    if isinstance(kind, Zero):
-        if alpha_base is None:
-            return ALEPH0
-        return cofinality(alpha_base)
-    # Nonzero CNF limit tail: countable limit, cofinality omega.
-    return ALEPH0
+    # A nonzero CNF tail is a countable successor or limit: cofinality <= omega.
+    return cofinality(alpha_base) if alpha_base is not None and alpha_tail.is_zero else ALEPH0
 
 
 # --- the constructible class K^mu -------------------------------------------

@@ -1,0 +1,137 @@
+"""Hash-consing of CnfOrdinal and Aleph: equal values are one object."""
+
+import copy
+import gc
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given
+
+from alephcalc import ordinals
+from alephcalc.cardinals import ALEPH1, ALEPH2, Aleph, card_compare, card_index_classify, successor
+from alephcalc.dsl import parse
+from alephcalc.ordinals import (
+    OMEGA,
+    ORD_ONE,
+    ORD_ZERO,
+    CnfOrdinal,
+    Ordering,
+    cnf_add,
+    cnf_compare,
+    from_int,
+    omega_power,
+    ord_classify,
+)
+
+from conftest import alephs, cnf_ordinals
+
+
+def rebuild(x: CnfOrdinal) -> CnfOrdinal:
+    """An equal ordinal built bottom-up from fresh tuples."""
+    return CnfOrdinal(tuple((rebuild(e), c) for e, c in x.terms))
+
+
+def rebuild_aleph(c: Aleph) -> Aleph:
+    return Aleph(None if c.base is None else rebuild_aleph(c.base), rebuild(c.tail))
+
+
+def plus_one(x: CnfOrdinal) -> CnfOrdinal:
+    """x + 1, built directly from its terms."""
+    if x.terms and x.terms[-1][0].is_zero:
+        return CnfOrdinal(x.terms[:-1] + ((ORD_ZERO, x.terms[-1][1] + 1),))
+    return CnfOrdinal(x.terms + ((ORD_ZERO, 1),))
+
+
+def tower(height: int) -> CnfOrdinal:
+    """w^w^...^1 with ``height`` omegas."""
+    x = ORD_ONE
+    for _ in range(height):
+        x = omega_power(x)
+    return x
+
+
+@given(cnf_ordinals(), cnf_ordinals())
+def test_an_ordinal_rebuilt_by_another_path_is_the_same_object(x, y):
+    assert CnfOrdinal(x.terms) is x
+    assert rebuild(x) is x
+    assert parse(str(x)).tail is x
+    assert cnf_add(x, y) is cnf_add(rebuild(x), rebuild(y))
+    assert cnf_add(x, ORD_ONE) is plus_one(rebuild(x))
+    assert ord_classify(plus_one(x)).pred is x
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+
+
+@given(alephs())
+def test_an_aleph_rebuilt_by_another_path_is_the_same_object(c):
+    assert Aleph(c.base, c.tail) is c
+    assert rebuild_aleph(c) is c
+    assert parse(str(c)).value is c
+    assert successor(c) is Aleph(c.base, plus_one(rebuild(c.tail)))
+    assert card_index_classify(successor(c)).pred is c
+    assert copy.copy(c) is c
+    assert copy.deepcopy(c) is c
+    assert pickle.loads(pickle.dumps(c)) is c
+
+
+@pytest.mark.parametrize("value, field", [(OMEGA, "terms"), (ALEPH1, "tail"), (ALEPH1, "base")])
+def test_fields_are_read_only(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+def test_the_table_does_not_retain_values():
+    gc.collect()
+    before = len(ordinals._TABLE)
+    values = [Aleph(ALEPH2, omega_power(from_int(i + 1), 3)) for i in range(10_000)]
+    assert len(ordinals._TABLE) >= before + 20_000
+    del values
+    gc.collect()
+    assert len(ordinals._TABLE) == before
+
+
+def test_a_rejected_value_leaves_no_entry():
+    before = len(ordinals._TABLE)
+    with pytest.raises(ValueError, match="strictly decrease"):
+        CnfOrdinal(((ORD_ZERO, 1), (tower(2), 1)))
+    with pytest.raises(ValueError, match="coefficient >= 1"):
+        CnfOrdinal(((tower(2), 0),))
+    assert len(ordinals._TABLE) == before
+
+
+def test_threads_building_the_same_fresh_values_get_the_same_objects():
+    threads, count, offset = 4, 1_000, 7_340_000
+    start = threading.Barrier(threads)
+
+    def build():
+        start.wait(timeout=30)
+        return [Aleph(ALEPH1, from_int(offset + i)) for i in range(count)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that misses race
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(build) for _ in range(threads)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(r) for r in results] == [count] * threads
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))
+        assert all(a.tail is b.tail for a, b in zip(results[0], other))
+
+
+def test_deep_equal_values_compare_without_recursion():
+    x, rebuilt = tower(3_000), tower(3_000)
+    assert hash(x) == hash(rebuilt)
+    assert x == rebuilt
+    assert rebuilt in {x}
+    assert cnf_compare(x, rebuilt) is Ordering.EQUAL
+    assert card_compare(Aleph(None, x), Aleph(None, rebuilt)) is Ordering.EQUAL

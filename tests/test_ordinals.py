@@ -1,5 +1,8 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from alephcalc.ordinals import (
     OMEGA,
@@ -12,6 +15,7 @@ from alephcalc.ordinals import (
     Zero,
     cnf_add,
     cnf_compare,
+    cnf_sum,
     from_int,
     omega_power,
     ord_classify,
@@ -77,6 +81,14 @@ def test_exhaustive_against_tuple_oracle_small():
         for tb, cb in ordinals:
             assert cnf_compare(ca, cb).value == tuple_compare(ta, tb)
             assert cnf_to_tuple(cnf_add(ca, cb)) == tuple_add(ta, tb)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=6))
+def test_sum_of_terms_in_any_order_against_tuple_oracle(terms):
+    # A zero coefficient adds nothing: it must not absorb the terms before it.
+    singles = [tuple(c if 3 - i == power else 0 for i in range(4)) for power, c in terms]
+    expected = reduce(tuple_add, singles, (0, 0, 0, 0))
+    assert cnf_to_tuple(cnf_sum(*((from_int(power), c) for power, c in terms))) == expected
 
 
 @given(cnf_ordinals(), cnf_ordinals(), cnf_ordinals())
