@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ordinals import (
+    OMEGA,
     ORD_ONE,
     ORD_ZERO,
     CnfOrdinal,
@@ -70,25 +71,28 @@ class Aleph(CardinalExpr, _HashConsed):
                 raise ValueError("index base must be uncountable; write a countable index as a CNF tail")
 
     def _render(self) -> str:
-        if self.base is None:
-            return f"aleph({self.tail})"
-        if self.tail.is_zero:
-            return f"aleph({self.base})"
-        return f"aleph({self.base}+{self.tail})"
+        return f"aleph({index_text(self.base, self.tail)})"
 
 
-@dataclass(frozen=True, repr=False)
-class CardinalAtom(CardinalExpr):
+class CardinalAtom(CardinalExpr, _HashConsed):
     """Named large-cardinal symbol, e.g. a postulated weakly inaccessible."""
 
-    name: str
-    weakly_inaccessible: bool = False
+    __slots__ = ("name", "weakly_inaccessible")
 
-    def __str__(self) -> str:
+    def __new__(cls, name: str, weakly_inaccessible: bool = False) -> CardinalAtom:
+        return _interned(cls, (name, weakly_inaccessible), check=False)
+
+    def _render(self) -> str:
         return f"inacc({self.name})" if self.weakly_inaccessible else f"atom({self.name})"
 
-    def __repr__(self) -> str:
-        return str(self)
+
+def index_text(base: CardinalExpr | None, tail: CnfOrdinal) -> str:
+    """The aleph index base + tail as the DSL writes it."""
+    if base is None:
+        return str(tail)
+    if tail.is_zero:
+        return str(base)
+    return f"{base}+{tail}"
 
 
 def aleph(index: int | CnfOrdinal) -> Aleph:
@@ -102,6 +106,11 @@ ALEPH1 = aleph(1)
 ALEPH2 = aleph(2)
 
 
+def initial_ordinal(c: CardinalExpr) -> tuple[CardinalExpr | None, CnfOrdinal]:
+    """The initial ordinal of c as an index (base, tail): w for aleph_0, else c itself."""
+    return (None, OMEGA) if c is ALEPH0 else (c, ORD_ZERO)
+
+
 def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
     """Total order agreeing with true cardinal order on the aleph fragment."""
     if a is b:
@@ -111,10 +120,8 @@ def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
             return Ordering.LESS
         if not isinstance(b, CardinalAtom):
             return Ordering.GREATER
-        # By name, then by flag, so that EQUAL agrees with ==.
+        # Distinct atoms: by name, then by flag.
         ka, kb = (a.name, a.weakly_inaccessible), (b.name, b.weakly_inaccessible)
-        if ka == kb:
-            return Ordering.EQUAL
         return Ordering.LESS if ka < kb else Ordering.GREATER
     assert isinstance(a, Aleph) and isinstance(b, Aleph)
     # Alephs are interned: the first field that is not the same object decides.

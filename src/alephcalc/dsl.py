@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar, Union
 
-from .cardinals import ALEPH0, Aleph, CardinalAtom, CardinalExpr, card_compare
+from .cardinals import ALEPH0, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
 from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, cnf_sum, from_int, omega_power
 
@@ -392,7 +392,7 @@ class _Parser:
         inner = self.nested(self.index_expr)
         self.expect(")", "')'")
         if isinstance(inner, CardinalLiteral):
-            base, tail = (None, OMEGA) if inner.value == ALEPH0 else (inner.value, ORD_ZERO)
+            base, tail = initial_ordinal(inner.value)
         else:
             base, tail = inner.base, inner.tail
         if isinstance(base, CardinalAtom):
@@ -421,11 +421,7 @@ def format_statement(ast: Ast) -> str:
     if isinstance(ast, CardinalLiteral):
         return str(ast.value)
     if isinstance(ast, OrdinalLiteral):
-        if ast.base is None:
-            return str(ast.tail)
-        if ast.tail.is_zero:
-            return str(ast.base)
-        return f"{ast.base}+{ast.tail}"
+        return index_text(ast.base, ast.tail)
     if isinstance(ast, BoolLiteral):
         return "true" if ast.value else "false"
     if isinstance(ast, Query):

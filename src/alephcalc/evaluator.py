@@ -15,9 +15,9 @@ from typing import Callable, Iterable, TextIO
 
 from . import arithmetic, sizes, spectra
 from .cardinals import (
-    ALEPH0,
     CardinalExpr,
     cofinality,
+    initial_ordinal,
     is_regular,
     lambda_r,
     lambda_star,
@@ -48,7 +48,6 @@ from .hypotheses import (
     extend_context,
     l_cofinality,
 )
-from .ordinals import OMEGA, ORD_ZERO
 
 
 class QueryError(Exception):
@@ -102,9 +101,7 @@ def _coerce(name: str, i: int, kind: str, arg: Ast):
             return arg.base, arg.tail
         if isinstance(arg, CardinalLiteral):
             # A cardinal used in ordinal position denotes its initial ordinal.
-            if arg.value == ALEPH0:
-                return None, OMEGA
-            return arg.value, ORD_ZERO
+            return initial_ordinal(arg.value)
     raise QueryError(f"argument {i + 1} of {name} must be {_KIND_NAMES[kind]}")
 
 

@@ -15,7 +15,7 @@ consistently fail, so the engine models conditional theorems, not forcing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generic, Iterable, TypeVar, Union
 
 from .cardinals import (
@@ -139,10 +139,24 @@ class ZeroSharp(enum.Enum):
 
 @dataclass(frozen=True)
 class HypothesisContext:
+    """Declared flags, deductively closed at construction; inconsistent ones raise.
+    ``sch`` may be any iterable of instances; it is kept sorted and deduplicated."""
+
     gch: bool = False
     v_equals_l: bool = False
     zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN
-    sch: tuple[SchAssumption, ...] = field(default_factory=tuple)
+    sch: tuple[SchAssumption, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.v_equals_l:
+            if self.zero_sharp is ZeroSharp.EXISTS:
+                raise InconsistentContextError("inconsistent context: V=L implies 0# does not exist")
+            object.__setattr__(self, "gch", True)
+            object.__setattr__(self, "zero_sharp", ZeroSharp.NOT_EXISTS)
+        canon = tuple(sorted(set(self.sch), key=lambda a: (str(a.mu), type(a.scope).__name__, str(a.scope))))
+        for a in canon:
+            require_regular(a.mu)
+        object.__setattr__(self, "sch", canon)
 
     def describe(self) -> str:
         parts = []
@@ -158,30 +172,8 @@ class HypothesisContext:
         return ", ".join(parts) if parts else "(none)"
 
 
+build_context = HypothesisContext
 EMPTY_CONTEXT = HypothesisContext()
-
-
-def _sch_sort_key(a: SchAssumption) -> tuple:
-    return (str(a.mu), a.scope.__class__.__name__, str(a.scope))
-
-
-def build_context(
-    *,
-    gch: bool = False,
-    v_equals_l: bool = False,
-    zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN,
-    sch: Iterable[SchAssumption] = (),
-) -> HypothesisContext:
-    """Deductively close the declared flags; reject inconsistent ones."""
-    if v_equals_l:
-        if zero_sharp is ZeroSharp.EXISTS:
-            raise InconsistentContextError("inconsistent context: V=L implies 0# does not exist")
-        gch = True
-        zero_sharp = ZeroSharp.NOT_EXISTS
-    canon = tuple(sorted(set(sch), key=_sch_sort_key))
-    for a in canon:
-        require_regular(a.mu)
-    return HypothesisContext(gch, v_equals_l, zero_sharp, canon)
 
 
 def extend_context(
@@ -189,21 +181,16 @@ def extend_context(
     *,
     gch: bool = False,
     v_equals_l: bool = False,
-    zero_sharp: ZeroSharp | None = None,
+    zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN,
     sch: Iterable[SchAssumption] = (),
 ) -> HypothesisContext:
     """Fold further assumptions into ctx (forward-only; conflicts raise)."""
     zs = ctx.zero_sharp
-    if zero_sharp is not None and zero_sharp is not ZeroSharp.UNKNOWN:
+    if zero_sharp is not ZeroSharp.UNKNOWN:
         if zs is not ZeroSharp.UNKNOWN and zs is not zero_sharp:
             raise InconsistentContextError("inconsistent context: 0# cannot both exist and not exist")
         zs = zero_sharp
-    return build_context(
-        gch=ctx.gch or gch,
-        v_equals_l=ctx.v_equals_l or v_equals_l,
-        zero_sharp=zs,
-        sch=ctx.sch + tuple(sch),
-    )
+    return HypothesisContext(ctx.gch or gch, ctx.v_equals_l or v_equals_l, zs, ctx.sch + tuple(sch))
 
 
 # --- coverage queries -------------------------------------------------------

@@ -198,7 +198,15 @@ def cnf_sum(*terms: tuple[CnfOrdinal, int]) -> CnfOrdinal:
 
 def cnf_add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     """Ordinal sum a + b: terms of a below b's leading exponent are absorbed."""
-    return cnf_sum(*a.terms, *b.terms) if b.terms else a
+    if not b.terms:
+        return a
+    lead, coeff = b.terms[0]
+    for i, (exp, c) in enumerate(a.terms):
+        if exp is lead:
+            return CnfOrdinal._raw(a.terms[:i] + ((lead, c + coeff),) + b.terms[1:])
+        if cnf_compare(exp, lead) is Ordering.LESS:
+            return CnfOrdinal._raw(a.terms[:i] + b.terms)
+    return CnfOrdinal._raw(a.terms + b.terms)
 
 
 @dataclass(frozen=True)

@@ -176,9 +176,11 @@ def shelah_count_by_cardinality(
     return Independent((f"the status of 0# (with sharp: {with_sharp}; without: {shown})",))
 
 
+_NO_SHARP = HypothesisContext(zero_sharp=ZeroSharp.NOT_EXISTS)
+
+
 def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
-    ctx_ns = HypothesisContext(zero_sharp=ZeroSharp.NOT_EXISTS)
-    pinned = l_cofinality(lam, ctx_ns)
+    pinned = l_cofinality(lam, _NO_SHARP)
     assert isinstance(pinned, Determined)
     interval: CardinalInterval = pinned.value
     used = ("no-sharp",)

@@ -25,7 +25,8 @@ from alephcalc import (
     l_cofinality,
     sch_holds_at,
 )
-from alephcalc.hypotheses import is_true
+from alephcalc.arithmetic import two_lt
+from alephcalc.hypotheses import HypothesisContext, is_true
 from alephcalc.ordinals import OMEGA, cnf_add, from_int
 
 from conftest import alephs
@@ -208,3 +209,57 @@ def test_monotonicity_of_determined_verdicts(gch, sharp, add_sch):
     big_answers = dict(_covered_pairs(big))
     for key, value in small_answers.items():
         assert big_answers[key] == value
+
+
+# --- the raw constructor closes and canonicalises like build_context ----------
+
+_SCH_POOL = (
+    SchAssumption(ALEPH1, AtLeast(ALEPH2)),
+    SchAssumption(ALEPH2, UnboundedBelow(A_W1)),
+    SchAssumption(ALEPH1, ExplicitSet((A_W, aleph(3)))),
+    SchAssumption(ALEPH0, AtLeast(A_W)),
+)
+
+
+@given(
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(list(ZeroSharp)),
+    st.lists(st.sampled_from(_SCH_POOL), max_size=5),
+)
+def test_raw_context_equals_build_context(gch, v_equals_l, sharp, sch):
+    flags = dict(gch=gch, v_equals_l=v_equals_l, zero_sharp=sharp, sch=tuple(sch))
+    try:
+        built = build_context(**flags)
+    except InconsistentContextError:
+        with pytest.raises(InconsistentContextError):
+            HypothesisContext(**flags)
+        return
+    raw = HypothesisContext(**flags)
+    assert raw == built
+    assert raw.describe() == built.describe()
+
+
+def test_raw_v_equals_l_context_settles_what_v_equals_l_settles():
+    ctx = HypothesisContext(v_equals_l=True)
+    assert ctx == VL
+    assert two_lt(ALEPH1, ctx) == two_lt(ALEPH1, VL) == Determined(ALEPH1, ("GCH",))
+
+
+def test_raw_v_equals_l_with_sharp_is_inconsistent():
+    with pytest.raises(InconsistentContextError, match="V=L implies 0# does not exist"):
+        HypothesisContext(v_equals_l=True, zero_sharp=ZeroSharp.EXISTS)
+
+
+def test_raw_context_rejects_a_singular_sch_mu():
+    with pytest.raises(ValueError, match="mu must be regular"):
+        HypothesisContext(sch=(SchAssumption(A_W, AtLeast(A_W)),))
+
+
+@given(st.permutations(_SCH_POOL), st.integers(min_value=0, max_value=3))
+def test_contexts_are_equal_whatever_the_order_of_their_sch_instances(order, repeat):
+    ctx = HypothesisContext(sch=(*order, order[repeat]))
+    canon = HypothesisContext(sch=_SCH_POOL)
+    assert ctx == canon
+    assert hash(ctx) == hash(canon)
+    assert ctx.describe() == canon.describe()

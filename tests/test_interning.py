@@ -1,4 +1,4 @@
-"""Hash-consing of CnfOrdinal and Aleph: equal values are one object."""
+"""Hash-consing of CnfOrdinal, Aleph and CardinalAtom: equal values are one object."""
 
 import copy
 import gc
@@ -9,9 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from alephcalc import ordinals
-from alephcalc.cardinals import ALEPH1, ALEPH2, Aleph, card_compare, card_index_classify, successor
+from alephcalc.cardinals import ALEPH1, ALEPH2, Aleph, CardinalAtom, card_compare, card_index_classify, successor
 from alephcalc.dsl import parse
 from alephcalc.ordinals import (
     OMEGA,
@@ -135,3 +136,22 @@ def test_deep_equal_values_compare_without_recursion():
     assert rebuilt in {x}
     assert cnf_compare(x, rebuilt) is Ordering.EQUAL
     assert card_compare(Aleph(None, x), Aleph(None, rebuilt)) is Ordering.EQUAL
+
+
+@given(st.text(min_size=2, max_size=8), st.booleans())
+def test_equal_atoms_are_one_object(name, inacc):
+    atom = CardinalAtom(name, weakly_inaccessible=inacc)
+    fresh_name = "".join(list(name))  # an equal string that is another object
+    assert CardinalAtom(fresh_name, inacc) is atom
+    assert CardinalAtom(fresh_name, weakly_inaccessible=not inacc) is not atom
+    assert card_compare(atom, CardinalAtom(fresh_name, inacc)) is Ordering.EQUAL
+    assert str(atom) == repr(atom) == (f"inacc({name})" if inacc else f"atom({name})")
+    assert copy.copy(atom) is atom
+    assert copy.deepcopy(atom) is atom
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    with pytest.raises(AttributeError):
+        atom.name = fresh_name
+
+
+def test_a_parsed_atom_is_the_constructed_one():
+    assert parse("inacc(theta)").value is CardinalAtom("theta", weakly_inaccessible=True)
