@@ -15,7 +15,7 @@ hypothesis-relative lives in :mod:`alephcalc.arithmetic`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .ordinals import (
     OMEGA,
@@ -26,11 +26,17 @@ from .ordinals import (
     Successor,
     _HashConsed,
     _interned,
+    _Record,
+    _set,
     cnf_add,
     cnf_compare,
     from_int,
     ord_classify,
 )
+
+
+# Atom names are DSL identifiers: every atom prints as text that reads back to it.
+IDENT = re.compile(r"[^\W\d]\w*")
 
 
 class UnclassifiedAtomError(ValueError):
@@ -80,7 +86,11 @@ class CardinalAtom(CardinalExpr, _HashConsed):
     __slots__ = ("name", "weakly_inaccessible")
 
     def __new__(cls, name: str, weakly_inaccessible: bool = False) -> CardinalAtom:
-        return _interned(cls, (name, weakly_inaccessible), check=False)
+        return _interned(cls, (name, weakly_inaccessible), check=True)
+
+    def _check(self) -> None:
+        if not isinstance(self.name, str) or not IDENT.fullmatch(self.name):
+            raise ValueError(f"atom name must be an identifier, got {self.name!r}")
 
     def _render(self) -> str:
         return f"inacc({self.name})" if self.weakly_inaccessible else f"atom({self.name})"
@@ -133,14 +143,14 @@ def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
     return cnf_compare(a.tail, b.tail)
 
 
-@dataclass(frozen=True)
-class SuccessorCard:
-    pred: CardinalExpr
+class SuccessorCard(_Record):
+    __slots__ = ("pred",)
+    def __init__(self, pred: CardinalExpr) -> None:
+        _set(self, "pred", pred)
 
 
-@dataclass(frozen=True)
-class LimitCard:
-    pass
+class LimitCard(_Record):
+    __slots__ = ()
 
 
 CardinalKind = SuccessorCard | LimitCard

@@ -32,12 +32,11 @@ malformed line always becomes a ``syntax error`` record, never a crash.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar, Union
 
-from .cardinals import ALEPH0, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
+from .cardinals import ALEPH0, IDENT, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
-from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, cnf_sum, from_int, omega_power
+from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, _Record, _set, cnf_sum, from_int, omega_power
 
 # Deeper input would exhaust the interpreter's stack in the engine or the
 # formatter; a probe found both safe to about 160 levels of w^.
@@ -64,41 +63,44 @@ class ParseError(Exception):
 # --- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CardinalLiteral:
-    value: CardinalExpr
+class CardinalLiteral(_Record):
+    __slots__ = ("value",)
+    def __init__(self, value: CardinalExpr) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class OrdinalLiteral:
-    base: CardinalExpr | None
-    tail: CnfOrdinal
+class OrdinalLiteral(_Record):
+    __slots__ = ("base", "tail")
+    def __init__(self, base: CardinalExpr | None, tail: CnfOrdinal) -> None:
+        _set(self, "base", base)
+        _set(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class BoolLiteral:
-    value: bool
+class BoolLiteral(_Record):
+    __slots__ = ("value",)
+    def __init__(self, value: bool) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Query:
-    name: str
-    args: tuple["Ast", ...]
+class Query(_Record):
+    __slots__ = ("name", "args")
+    def __init__(self, name: str, args: tuple["Ast", ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class AssumeGch:
-    pass
+class AssumeGch(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AssumeVEqualsL:
-    pass
+class AssumeVEqualsL(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AssumeSharp:
-    exists: bool
+class AssumeSharp(_Record):
+    __slots__ = ("exists",)
+    def __init__(self, exists: bool) -> None:
+        _set(self, "exists", exists)
 
 
 AssumeSch = SchAssumption
@@ -106,14 +108,16 @@ AssumeSch = SchAssumption
 Assumption = Union[AssumeGch, AssumeVEqualsL, AssumeSharp, AssumeSch]
 
 
-@dataclass(frozen=True)
-class Assume:
-    item: Assumption
+class Assume(_Record):
+    __slots__ = ("item",)
+    def __init__(self, item: Assumption) -> None:
+        _set(self, "item", item)
 
 
-@dataclass(frozen=True)
-class Session:
-    items: tuple["Ast", ...]
+class Session(_Record):
+    __slots__ = ("items",)
+    def __init__(self, items: tuple["Ast", ...]) -> None:
+        _set(self, "items", items)
 
 
 Ast = Union[CardinalLiteral, OrdinalLiteral, BoolLiteral, Query, Assume, Session]
@@ -130,7 +134,7 @@ class Token(NamedTuple):
 
 
 _SCANNER = re.compile(
-    r"(?P<nat>\d+)|(?P<ident>[^\W\d]\w*)|(?P<symbol>>=|[-(){},;+*^=])"
+    r"(?P<nat>\d+)|(?P<ident>" + IDENT.pattern + r")|(?P<symbol>>=|[-(){},;+*^=])"
     r"|(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<bad>.)"
 )
 

@@ -10,7 +10,6 @@ notes; engine errors surface verbatim with verdict ``error``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
 from . import arithmetic, sizes, spectra
@@ -48,19 +47,22 @@ from .hypotheses import (
     extend_context,
     l_cofinality,
 )
+from .ordinals import _Record, _set
 
 
 class QueryError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    query: str
-    verdict: str  # 'determined' | 'independent' | 'error'
-    value: str | None
-    assumptions_used: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+class QueryResult(_Record):
+    __slots__ = ("query", "verdict", "value", "assumptions_used", "notes")
+    def __init__(self, query: str, verdict: str, value: str | None,
+                 assumptions_used: tuple[str, ...] = (), notes: tuple[str, ...] = ()) -> None:
+        _set(self, "query", query)
+        _set(self, "verdict", verdict)  # 'determined' | 'independent' | 'error'
+        _set(self, "value", value)
+        _set(self, "assumptions_used", assumptions_used)
+        _set(self, "notes", notes)
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -263,7 +265,10 @@ def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult],
     try:
         return evaluate(ast, ctx)
     except (QueryError, ValueError) as err:
-        return [QueryResult(format_statement(ast), "error", None, (), (f"error: {err}",))], ctx
+        note = f"error: {err}"
+    except Exception as err:  # an engine bug: one visible record, not a traceback
+        note = f"internal: {type(err).__name__}: {err}"
+    return [QueryResult(format_statement(ast), "error", None, (), (note,))], ctx
 
 
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:

@@ -15,7 +15,6 @@ consistently fail, so the engine models conditional theorems, not forcing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Generic, Iterable, TypeVar, Union
 
 from .cardinals import (
@@ -29,7 +28,7 @@ from .cardinals import (
     cofinality,
     require_regular,
 )
-from .ordinals import Ordering
+from .ordinals import Ordering, _Record, _set
 
 T = TypeVar("T")
 
@@ -38,20 +37,20 @@ class InconsistentContextError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Determined(Generic[T]):
-    value: T
-    used: tuple[str, ...] = ()
+class Determined(_Record, Generic[T]):
+    __slots__ = ("value", "used")
+    def __init__(self, value: T, used: tuple[str, ...] = ()) -> None:
+        _set(self, "value", value)
+        _set(self, "used", used)
 
 
-@dataclass(frozen=True)
-class Independent:
-    missing: tuple[str, ...]
-    used: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.missing:
+class Independent(_Record):
+    __slots__ = ("missing", "used")
+    def __init__(self, missing: tuple[str, ...], used: tuple[str, ...] = ()) -> None:
+        if not missing:
             raise ValueError("an Independent verdict must name a missing assumption")
+        _set(self, "missing", missing)
+        _set(self, "used", used)
 
     @property
     def reason(self) -> str:
@@ -69,14 +68,13 @@ def is_false(v: "Verdict[bool]") -> bool:
     return isinstance(v, Determined) and v.value is False
 
 
-@dataclass(frozen=True)
-class CardinalInterval:
-    lo: CardinalExpr
-    hi: CardinalExpr
-
-    def __post_init__(self) -> None:
-        if card_compare(self.lo, self.hi) is Ordering.GREATER:
+class CardinalInterval(_Record):
+    __slots__ = ("lo", "hi")
+    def __init__(self, lo: CardinalExpr, hi: CardinalExpr) -> None:
+        if card_compare(lo, hi) is Ordering.GREATER:
             raise ValueError("interval endpoints out of order")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def is_point(self) -> bool:
@@ -89,31 +87,31 @@ class CardinalInterval:
 # --- SCH scopes -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    threshold: CardinalExpr
+class AtLeast(_Record):
+    __slots__ = ("threshold",)
+    def __init__(self, threshold: CardinalExpr) -> None:
+        _set(self, "threshold", threshold)
 
     def __str__(self) -> str:
         return f">= {self.threshold}"
 
 
-@dataclass(frozen=True)
-class UnboundedBelow:
-    limit: CardinalExpr
+class UnboundedBelow(_Record):
+    __slots__ = ("limit",)
+    def __init__(self, limit: CardinalExpr) -> None:
+        _set(self, "limit", limit)
 
     def __str__(self) -> str:
         return f"below {self.limit}"
 
 
-@dataclass(frozen=True)
-class ExplicitSet:
-    cards: tuple[CardinalExpr, ...]
-
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.cards)))
-        object.__setattr__(self, "cards", canon)
+class ExplicitSet(_Record):
+    __slots__ = ("cards",)
+    def __init__(self, cards: Iterable[CardinalExpr]) -> None:
+        canon = tuple(sorted(set(cards)))
         if not canon:
             raise ValueError("explicit SCH scope must be nonempty")
+        _set(self, "cards", canon)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.cards) + "}"
@@ -122,10 +120,11 @@ class ExplicitSet:
 SchScope = Union[AtLeast, UnboundedBelow, ExplicitSet]
 
 
-@dataclass(frozen=True)
-class SchAssumption:
-    mu: CardinalExpr
-    scope: SchScope
+class SchAssumption(_Record):
+    __slots__ = ("mu", "scope")
+    def __init__(self, mu: CardinalExpr, scope: SchScope) -> None:
+        _set(self, "mu", mu)
+        _set(self, "scope", scope)
 
     def describe(self) -> str:
         return f"SCH({self.mu}, {self.scope})"
@@ -137,26 +136,24 @@ class ZeroSharp(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class HypothesisContext:
+class HypothesisContext(_Record):
     """Declared flags, deductively closed at construction; inconsistent ones raise.
     ``sch`` may be any iterable of instances; it is kept sorted and deduplicated."""
 
-    gch: bool = False
-    v_equals_l: bool = False
-    zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN
-    sch: tuple[SchAssumption, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.v_equals_l:
-            if self.zero_sharp is ZeroSharp.EXISTS:
+    __slots__ = ("gch", "v_equals_l", "zero_sharp", "sch")
+    def __init__(self, gch: bool = False, v_equals_l: bool = False,
+                 zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN, sch: Iterable[SchAssumption] = ()) -> None:
+        if v_equals_l:
+            if zero_sharp is ZeroSharp.EXISTS:
                 raise InconsistentContextError("inconsistent context: V=L implies 0# does not exist")
-            object.__setattr__(self, "gch", True)
-            object.__setattr__(self, "zero_sharp", ZeroSharp.NOT_EXISTS)
-        canon = tuple(sorted(set(self.sch), key=lambda a: (str(a.mu), type(a.scope).__name__, str(a.scope))))
+            gch, zero_sharp = True, ZeroSharp.NOT_EXISTS
+        canon = tuple(sorted(set(sch), key=lambda a: (str(a.mu), type(a.scope).__name__, str(a.scope))))
         for a in canon:
             require_regular(a.mu)
-        object.__setattr__(self, "sch", canon)
+        _set(self, "gch", gch)
+        _set(self, "v_equals_l", v_equals_l)
+        _set(self, "zero_sharp", zero_sharp)
+        _set(self, "sch", canon)
 
     def describe(self) -> str:
         parts = []

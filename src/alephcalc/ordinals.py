@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import threading
 import weakref
-from dataclasses import dataclass
 from _weakref import _remove_dead_weakref
 
 
@@ -24,6 +23,8 @@ class Ordering(enum.Enum):
 
 _TABLE: dict[tuple, _Ref] = {}
 _LOCK = threading.Lock()
+# Writes a field of a record; only constructors call it.
+_set = object.__setattr__
 
 
 class _Ref(weakref.ref):
@@ -39,8 +40,8 @@ def _interned(cls, fields: tuple, check: bool):
         return obj
     obj = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(obj, name, value)
-    object.__setattr__(obj, "_str", None)
+        _set(obj, name, value)
+    _set(obj, "_str", None)
     if check:
         obj._check()
     with _LOCK:  # another thread may have published an equal object meanwhile
@@ -57,24 +58,49 @@ def _forget(ref: _Ref) -> None:
     _remove_dead_weakref(_TABLE, ref.key)
 
 
-class _HashConsed:
-    """A value built by ``_interned`` from the fields its ``__slots__`` name.
-    Equal values are one object, so ``==`` and ``hash`` are identity; copy and
-    pickle rebuild through the constructor; ``_render`` runs once for ``str``."""
+class _Record:
+    """An immutable value with the fields its class's ``__slots__`` names, which
+    the constructor takes in that order.  Equal only to a record of the same
+    class with equal fields; hashed as the tuple of its fields; shown as
+    ``Class(field=value, ...)``."""
 
-    __slots__ = ("_str", "__weakref__")
+    __slots__ = ()
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class _HashConsed(_Record):
+    """A record built by ``_interned``: equal values are one object, so ``==``
+    and ``hash`` are identity, and ``_render`` runs once for ``str``."""
+
+    __slots__ = ("_str", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         if self._str is None:
-            object.__setattr__(self, "_str", self._render())
+            _set(self, "_str", self._render())
         return self._str
 
     __repr__ = __str__
@@ -209,19 +235,18 @@ def cnf_add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     return CnfOrdinal._raw(a.terms + b.terms)
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Zero(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Successor:
-    pred: CnfOrdinal
+class Successor(_Record):
+    __slots__ = ("pred",)
+    def __init__(self, pred: CnfOrdinal) -> None:
+        _set(self, "pred", pred)
 
 
-@dataclass(frozen=True)
-class Limit:
-    pass
+class Limit(_Record):
+    __slots__ = ()
 
 
 OrdinalKind = Zero | Successor | Limit

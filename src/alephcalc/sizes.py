@@ -14,8 +14,6 @@ internal size; the engine never asserts a limit rank, it only excludes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cardinals import (
     CardinalAtom,
     CardinalExpr,
@@ -38,57 +36,56 @@ from .hypotheses import (
     sch_holds_at,
 )
 from .arithmetic import exp_lt, is_mu_closed
-from .ordinals import Ordering
+from .ordinals import Ordering, _Record, _set
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(_Record):
     """Parameters of a mu-AEC: index of directedness and LS(K) threshold."""
 
-    mu: CardinalExpr
-    ls: CardinalExpr
-    admits_intersections: bool = False
-    arbitrarily_large_models: bool = True
-
-    def __post_init__(self) -> None:
-        require_regular(self.mu)
-        if self.ls < self.mu:
+    __slots__ = ("mu", "ls", "admits_intersections", "arbitrarily_large_models")
+    def __init__(self, mu: CardinalExpr, ls: CardinalExpr, admits_intersections: bool = False,
+                 arbitrarily_large_models: bool = True) -> None:
+        require_regular(mu)
+        if ls < mu:
             raise ValueError("LS(K) must be at least mu")
         # LS = LS^{<mu} forces cf(LS) >= mu (Koenig); under GCH the converse
         # holds too, so this is the ZFC-decidable part of the LST invariant.
-        if cofinality(self.ls) < self.mu:
+        if cofinality(ls) < mu:
             raise ValueError("LS(K) must satisfy LS = LS^{<mu}; its cofinality cannot be below mu")
+        _set(self, "mu", mu)
+        _set(self, "ls", ls)
+        _set(self, "admits_intersections", admits_intersections)
+        _set(self, "arbitrarily_large_models", arbitrarily_large_models)
 
 
-@dataclass(frozen=True)
-class BelowLS:
+class BelowLS(_Record):
     """Internal size is at most LS(K) (exact behaviour below is wild)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TwoCandidates:
-    lo: CardinalExpr
-    hi: CardinalExpr
-    used: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.hi != successor(self.lo):
+class TwoCandidates(_Record):
+    __slots__ = ("lo", "hi", "used")
+    def __init__(self, lo: CardinalExpr, hi: CardinalExpr, used: tuple[str, ...] = ()) -> None:
+        if hi != successor(lo):
             raise ValueError("candidates must be a cardinal and its successor")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "used", used)
 
     def __str__(self) -> str:
         return f"{{{self.lo}, {self.hi}}}"
 
 
-@dataclass(frozen=True)
-class SizeInterval:
-    lo: CardinalExpr
-    hi: CardinalExpr
-    tight: bool = False
-    used: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if card_compare(self.lo, self.hi) is Ordering.GREATER:
+class SizeInterval(_Record):
+    __slots__ = ("lo", "hi", "tight", "used")
+    def __init__(self, lo: CardinalExpr, hi: CardinalExpr, tight: bool = False, used: tuple[str, ...] = ()) -> None:
+        if card_compare(lo, hi) is Ordering.GREATER:
             raise ValueError("interval endpoints out of order")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "tight", tight)
+        _set(self, "used", used)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -102,17 +99,17 @@ Undetermined = Independent
 SizeVerdict = BelowLS | Determined | TwoCandidates | SizeInterval | Independent
 
 
-@dataclass(frozen=True)
-class SpectrumFacts:
+class SpectrumFacts(_Record):
     """Externally supplied spectrum facts feeding the no-model rule."""
 
-    no_models_in_cardinality_interval: tuple[CardinalExpr, CardinalExpr] | None = None
-    categorical_in_cardinality: CardinalExpr | None = None
-
-    def __post_init__(self) -> None:
-        gap = self.no_models_in_cardinality_interval
+    __slots__ = ("no_models_in_cardinality_interval", "categorical_in_cardinality")
+    def __init__(self, no_models_in_cardinality_interval: tuple[CardinalExpr, CardinalExpr] | None = None,
+                 categorical_in_cardinality: CardinalExpr | None = None) -> None:
+        gap = no_models_in_cardinality_interval
         if gap is not None and card_compare(gap[0], gap[1]) is Ordering.GREATER:
             raise ValueError("gap endpoints out of order")
+        _set(self, "no_models_in_cardinality_interval", gap)
+        _set(self, "categorical_in_cardinality", categorical_in_cardinality)
 
 
 def internal_size_of_cardinality(

@@ -17,8 +17,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cardinals import (
     ALEPH0,
     ALEPH2,
@@ -43,34 +41,35 @@ from .hypotheses import (
     sch_holds_at,
 )
 from .arithmetic import is_mu_closed
-from .ordinals import CnfOrdinal, Ordering
+from .ordinals import CnfOrdinal, Ordering, _Record, _set
 
 
-@dataclass(frozen=True)
-class Finite:
-    n: int
-    used: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+class Finite(_Record):
+    __slots__ = ("n", "used")
+    def __init__(self, n: int, used: tuple[str, ...] = ()) -> None:
+        if n < 1:
             raise ValueError("finite counts start at 1; use ZeroCount for none")
+        _set(self, "n", n)
+        _set(self, "used", used)
 
     def __str__(self) -> str:
         return str(self.n)
 
 
-@dataclass(frozen=True)
-class AtLeastCard:
-    value: CardinalExpr
-    used: tuple[str, ...] = ()
+class AtLeastCard(_Record):
+    __slots__ = ("value", "used")
+    def __init__(self, value: CardinalExpr, used: tuple[str, ...] = ()) -> None:
+        _set(self, "value", value)
+        _set(self, "used", used)
 
     def __str__(self) -> str:
         return f">={self.value}"
 
 
-@dataclass(frozen=True)
-class ZeroCount:
-    used: tuple[str, ...] = ()
+class ZeroCount(_Record):
+    __slots__ = ("used",)
+    def __init__(self, used: tuple[str, ...] = ()) -> None:
+        _set(self, "used", used)
 
     def __str__(self) -> str:
         return "0"

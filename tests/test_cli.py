@@ -1,6 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run_cli(*argv, input_text=None):
     return subprocess.run(
@@ -102,3 +106,17 @@ class TestRepl:
         assert out.returncode == 0
         assert "= aleph(w+1)" in out.stdout
         assert "context: GCH" in out.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost milliseconds of every process's start; the CLI needs neither.
+    code = "import sys, alephcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 from pathlib import Path
@@ -38,7 +39,7 @@ from alephcalc.dsl import (
     parse_assumptions,
     tokenize,
 )
-from alephcalc.evaluator import QUERY_SIGNATURES
+from alephcalc.evaluator import QUERIES, QUERY_SIGNATURES
 from alephcalc.hypotheses import AtLeast, ExplicitSet, UnboundedBelow
 from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, cnf_add, from_int, omega_power
 
@@ -398,6 +399,26 @@ class TestFrontEndContract:
         assert status == 1
         assert len(records) == 3
         assert '"verdict": "error"' in records[1]
+
+    def test_an_unexpected_engine_error_is_one_internal_record(self, monkeypatch):
+        def broken(name, ctx, c):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setitem(QUERIES, "cf", (("card",), broken))
+        results, ctx = evaluate_line("cf(aleph(w))", EMPTY_CONTEXT)
+        assert ctx is EMPTY_CONTEXT
+        assert [(r.query, r.verdict, r.value, r.notes) for r in results] == [
+            ("cf(aleph(w))", "error", None, ("internal: RuntimeError: broken handler",))
+        ]
+        out = io.StringIO()
+        status = run_batch(["cf(aleph(1))", "succ(aleph(1))", "assume GCH", "cf(aleph(2))", "two_lt(aleph(1))"],
+                           EMPTY_CONTEXT, out, as_json=True)
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert status == 1
+        assert [(r["verdict"], r["value"]) for r in records] == [
+            ("error", None), ("determined", "aleph(2)"), ("error", None), ("determined", "aleph(1)")
+        ]
+        assert records[2]["notes"] == ["internal: RuntimeError: broken handler"]
 
     @pytest.mark.parametrize("kind", sorted(NESTERS))
     def test_nesting_bound(self, kind):

@@ -8,12 +8,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alephcalc import ordinals
 from alephcalc.cardinals import ALEPH1, ALEPH2, Aleph, CardinalAtom, card_compare, card_index_classify, successor
-from alephcalc.dsl import parse
+from alephcalc.dsl import ParseError, parse, tokenize
 from alephcalc.ordinals import (
     OMEGA,
     ORD_ONE,
@@ -138,7 +138,9 @@ def test_deep_equal_values_compare_without_recursion():
     assert card_compare(Aleph(None, x), Aleph(None, rebuilt)) is Ordering.EQUAL
 
 
-@given(st.text(min_size=2, max_size=8), st.booleans())
+# Atom names are DSL identifiers of 2 to 8 characters: a one-character string
+# may be a cached object, and the test needs an equal string that is another.
+@given(st.from_regex(r"[^\W\d]\w{1,7}", fullmatch=True), st.booleans())
 def test_equal_atoms_are_one_object(name, inacc):
     atom = CardinalAtom(name, weakly_inaccessible=inacc)
     fresh_name = "".join(list(name))  # an equal string that is another object
@@ -155,3 +157,34 @@ def test_equal_atoms_are_one_object(name, inacc):
 
 def test_a_parsed_atom_is_the_constructed_one():
     assert parse("inacc(theta)").value is CardinalAtom("theta", weakly_inaccessible=True)
+
+
+def reads_as_one_identifier(text: str) -> bool:
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return False
+    return [(t.kind, t.text) for t in tokens[:-1]] == [("ident", text)]
+
+
+@example("x), inacc(y")
+@example("")
+@example("1x")
+@example(" x")
+@example("_k2")
+@given(st.text(max_size=6))
+def test_an_atom_name_is_exactly_what_the_dsl_reads_back(name):
+    before = len(ordinals._TABLE)
+    if reads_as_one_identifier(name):
+        atom = CardinalAtom(name, weakly_inaccessible=True)
+        assert parse(str(atom)).value is atom
+    else:
+        with pytest.raises(ValueError, match="identifier"):
+            CardinalAtom(name, weakly_inaccessible=True)
+        assert len(ordinals._TABLE) == before
+
+
+@pytest.mark.parametrize("name", [None, 3, b"theta"])
+def test_an_atom_name_must_be_a_string(name):
+    with pytest.raises(ValueError, match="identifier"):
+        CardinalAtom(name)
