@@ -16,6 +16,7 @@ from .cardinals import (
     card_compare,
     card_index_classify,
     cofinality,
+    require_level,
     require_regular,
     successor,
 )
@@ -54,9 +55,7 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
     Equivalent to: SCH_{mu,lam} holds and lam is not the successor of a
     cardinal of cofinality below mu.  The second conjunct refutes on its own.
     """
-    require_regular(mu)
-    if lam < mu:
-        raise ValueError("lam must be at least mu")
+    require_level(mu, lam)
     if mu == ALEPH0:
         return Determined(True)
     kind = card_index_classify(lam)
@@ -79,15 +78,10 @@ def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdi
         return Independent((f"GCH (to evaluate {lam}^<{mu} with {lam} < {mu})",))
     if mu == ALEPH0:
         return Determined(lam)
-    if cofinality(lam) >= mu:
-        witness = is_almost_mu_closed(lam, mu, ctx)
-        if is_true(witness):
-            return Determined(lam, witness.used)
-    else:
-        above = successor(lam)
-        witness = is_almost_mu_closed(above, mu, ctx)
-        if is_true(witness):
-            return Determined(above, witness.used)
+    value = lam if cofinality(lam) >= mu else successor(lam)
+    witness = is_almost_mu_closed(value, mu, ctx)
+    if is_true(witness):
+        return Determined(value, witness.used)
     return Independent((f"SCH({mu}) at {lam}",))
 
 

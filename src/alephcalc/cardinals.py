@@ -201,6 +201,13 @@ def require_regular(c: CardinalExpr, what: str = "mu") -> None:
         raise ValueError(f"{what} must be regular")
 
 
+def require_level(mu: CardinalExpr, lam: CardinalExpr, what: str = "lam") -> None:
+    """Reject a singular mu, or a lam below it; ``what`` names lam."""
+    require_regular(mu)
+    if lam < mu:
+        raise ValueError(f"{what} must be at least mu")
+
+
 def lambda_r(c: CardinalExpr) -> CardinalExpr:
     """Least regular cardinal >= c: c itself if regular, else its successor."""
     return c if is_regular(c) else successor(c)

@@ -26,6 +26,7 @@ from .cardinals import (
     card_index_classify,
     card_max,
     cofinality,
+    require_level,
     require_regular,
 )
 from .ordinals import Ordering, _Record, _set
@@ -218,9 +219,7 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
     Determined(True) via GCH, a covering declared SCH instance at level
     >= mu, or trivially for mu = aleph_0; never Determined(False).
     """
-    require_regular(mu)
-    if card < mu:
-        raise ValueError("card must be at least mu")
+    require_level(mu, card, what="card")
     if mu == ALEPH0:
         return Determined(True)
     if ctx.gch:
@@ -233,9 +232,7 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
 
 def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
     """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?"""
-    require_regular(mu)
-    if lam < mu:
-        raise ValueError("lam must be at least mu")
+    require_level(mu, lam)
     if mu == ALEPH0:
         return Determined(True)
     if ctx.gch:

@@ -15,6 +15,7 @@ internal size; the engine never asserts a limit rank, it only excludes them.
 from __future__ import annotations
 
 from .cardinals import (
+    ALEPH0,
     CardinalAtom,
     CardinalExpr,
     SuccessorCard,
@@ -24,6 +25,7 @@ from .cardinals import (
     cofinality,
     is_regular,
     lambda_r,
+    require_level,
     require_regular,
     successor,
 )
@@ -32,6 +34,7 @@ from .hypotheses import (
     HypothesisContext,
     Independent,
     Verdict,
+    is_false,
     is_true,
     sch_holds_at,
 )
@@ -45,9 +48,7 @@ class ClassParams(_Record):
     __slots__ = ("mu", "ls", "admits_intersections", "arbitrarily_large_models")
     def __init__(self, mu: CardinalExpr, ls: CardinalExpr, admits_intersections: bool = False,
                  arbitrarily_large_models: bool = True) -> None:
-        require_regular(mu)
-        if ls < mu:
-            raise ValueError("LS(K) must be at least mu")
+        require_level(mu, ls, what="LS(K)")
         # LS = LS^{<mu} forces cf(LS) >= mu (Koenig); under GCH the converse
         # holds too, so this is the ZFC-decidable part of the LST invariant.
         if cofinality(ls) < mu:
@@ -123,7 +124,8 @@ def internal_size_of_cardinality(
     if is_true(closed):
         return Determined(lam, closed.used)
     kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
+    if is_false(closed):
+        # Koenig: lam is the successor of a cardinal of cofinality below mu.
         sch = sch_holds_at(ctx, mu, lam)
         if is_true(sch):
             return TwoCandidates(kind.pred, lam, sch.used)
@@ -187,11 +189,15 @@ def no_model_of_internal_size(
     """Gap in [lam, lam^{<mu}) plus categoricity at lam^{<mu} rules out size lam."""
     if not lam > params.ls:
         raise ValueError("lam must exceed LS(K)")
+    if params.mu == ALEPH0:
+        # Only here does lam^{<mu} = lam hold with no assumption; elsewhere
+        # the rule fails to apply only under the assumptions exp_lt names.
+        raise ValueError("rule inapplicable: lam = lam^{<mu}")
     e = exp_lt(lam, params.mu, ctx)
     if isinstance(e, Independent):
         return e
     if e.value == lam:
-        raise ValueError("rule inapplicable: lam = lam^{<mu}")
+        return Independent((f"rule inapplicable: {lam}^<{params.mu} = {lam}",), used=e.used)
     missing = []
     gap = facts.no_models_in_cardinality_interval
     if gap is None or not (gap[0] <= lam and e.value <= gap[1]):

@@ -27,7 +27,7 @@ from .cardinals import (
     card_index_classify,
     cofinality,
     is_regular,
-    require_regular,
+    require_level,
     successor,
 )
 from .hypotheses import (
@@ -40,7 +40,6 @@ from .hypotheses import (
     l_cofinality,
     sch_holds_at,
 )
-from .arithmetic import is_mu_closed
 from .ordinals import CnfOrdinal, Ordering, _Record, _set
 
 
@@ -152,27 +151,26 @@ def shelah_count_by_cardinality(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
 ) -> CountValue:
     """I(K^mu, lam): isomorphism classes of cardinality lam, by hypothesis."""
-    require_regular(mu)
-    if lam < mu:
-        raise ValueError("lam must be at least mu")
+    require_level(mu, lam)
+    # Taken before ctx is read, so an atom lam is an error in every context.
+    lam_plus = successor(lam)
     if ctx.v_equals_l:
         if cofinality(lam) < mu:
             return Finite(1, ("V=L",))
-        return Determined(successor(lam), ("V=L",))
+        return Determined(lam_plus, ("V=L",))
     if ctx.zero_sharp is ZeroSharp.EXISTS:
-        return Determined(successor(lam), ("sharp",))
+        return Determined(lam_plus, ("sharp",))
     if ctx.zero_sharp is ZeroSharp.NOT_EXISTS:
         return _count_without_sharp(mu, lam)
-    with_sharp = successor(lam)
     without = _count_without_sharp(mu, lam)
-    if isinstance(without, Determined) and without.value == with_sharp:
+    if isinstance(without, Determined) and without.value == lam_plus:
         # Both 0# branches agree, so the count is a ZFC fact at this point.
-        return Determined(with_sharp)
+        return Determined(lam_plus)
     if isinstance(without, Independent):
         shown = "undetermined"
     else:
         shown = without.value if isinstance(without, Determined) else without
-    return Independent((f"the status of 0# (with sharp: {with_sharp}; without: {shown})",))
+    return Independent((f"the status of 0# (with sharp: {lam_plus}; without: {shown})",))
 
 
 _NO_SHARP = HypothesisContext(zero_sharp=ZeroSharp.NOT_EXISTS)
@@ -205,14 +203,10 @@ def shelah_count_by_internal_size(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
 ) -> CountValue:
     """Lower bound on models of internal size lam in K^mu; never finite."""
-    require_regular(mu)
-    if lam < mu:
-        raise ValueError("lam must be at least mu")
+    require_level(mu, lam)
     if is_regular(lam):
         return AtLeastCard(successor(lam))
-    closed = is_mu_closed(lam, mu, ctx)
-    if is_true(closed):
-        return AtLeastCard(successor(lam), closed.used)
+    # For singular lam, mu-closedness is exactly SCH_{mu,lam}.
     sch = sch_holds_at(ctx, mu, lam)
     if is_true(sch):
         return AtLeastCard(successor(lam), sch.used)

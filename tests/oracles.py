@@ -7,6 +7,8 @@
   lambda^{<mu} by a case split on the exponent bound.
 * A standalone cofinality/"successor of small cofinality" classifier that
   inspects the index structure directly.
+* The refinement order on record value text: when does one answer say at
+  least as much as another (Cousot & Cousot, POPL 1977)?
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from alephcalc import (
     CnfOrdinal,
     successor,
 )
+from alephcalc.dsl import CardinalLiteral, ParseError, parse
 from alephcalc.ordinals import from_int
 
 Tup = tuple[int, int, int, int]
@@ -120,3 +123,40 @@ def is_bad_successor(lam: CardinalExpr, mu: CardinalExpr) -> bool:
     else:
         pred = Aleph(lam.base, CnfOrdinal(lam.tail.terms[:-1]))
     return cf_oracle(pred) < mu
+
+
+# --- refinement order on value text ---------------------------------------------
+
+
+def _cardinal(text: str) -> CardinalExpr | None:
+    """The cardinal a value text names, or None for any other text."""
+    try:
+        ast = parse(text)
+    except ParseError:
+        return None
+    return ast.value if isinstance(ast, CardinalLiteral) else None
+
+
+def refines(new: str, old: str) -> bool:
+    """Does value text ``new`` say at least as much as ``old``?
+
+    A value refines itself; a member refines ``[lo, hi]`` or ``{lo, hi}``;
+    any cardinal ``>= x``, or ``>=y`` with y >= x, refines ``>=x``; any
+    value ``<= x`` (a cardinal or ``<=y``) refines ``<=x``.
+    """
+    if new == old:
+        return True
+    if old.startswith((">=", "<=")):
+        bound = _cardinal(old[2:])
+        value = _cardinal(new[2:] if new.startswith(old[:2]) else new)
+        if bound is None or value is None:
+            return False
+        return value >= bound if old[0] == ">" else value <= bound
+    if old[:1] in ("[", "{") and old[-1:] in ("]", "}"):
+        ends = [_cardinal(t) for t in old[1:-1].split(", ")]
+        value = _cardinal(new)
+        if len(ends) != 2 or None in ends or value is None:
+            return False
+        lo, hi = ends
+        return lo <= value <= hi if old[0] == "[" else value in (lo, hi)
+    return False

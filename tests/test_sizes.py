@@ -33,6 +33,7 @@ from alephcalc import (
     rank_excluded_at,
     successor,
 )
+from alephcalc.evaluator import evaluate_line
 from alephcalc.hypotheses import is_true
 from alephcalc.ordinals import OMEGA, cnf_add, from_int
 
@@ -197,6 +198,16 @@ class TestNoModelRule:
         assert isinstance(no_model_of_internal_size(PARAMS, A_W, missing_cat, GCH), Independent)
         with pytest.raises(ValueError, match="rule inapplicable"):
             no_model_of_internal_size(ClassParams(mu=ALEPH0, ls=ALEPH0), ALEPH1, facts, GCH)
+
+    def test_rule_inapplicable_by_assumption_is_independent(self):
+        # aleph(2)^<aleph(1) = aleph(2) needs GCH, so the rule's failure to apply does too.
+        facts = self._facts(ALEPH2, aleph(3), aleph(3))
+        assert no_model_of_internal_size(PARAMS, ALEPH2, facts, GCH) == Independent(
+            ("rule inapplicable: aleph(2)^<aleph(1) = aleph(2)",), used=("GCH",))
+        (rec,), _ = evaluate_line(
+            "no_model_rule(aleph(1), aleph(1), aleph(2), aleph(2), aleph(3), aleph(3))", GCH)
+        assert rec.verdict == "independent"
+        assert list(rec.assumptions_used) == ["GCH"]
 
     def test_gap_must_cover_whole_window(self):
         narrow = self._facts(A_W, A_W, A_W1)

@@ -8,6 +8,7 @@ from alephcalc import (
     Aleph,
     AtLeastCard,
     Card,
+    CardinalAtom,
     ClassParams,
     EMPTY_CONTEXT,
     Finite,
@@ -175,6 +176,13 @@ class TestShelahByCardinality:
             shelah_count_by_cardinality(A_W, A_W, VL)
         with pytest.raises(ValueError, match="at least mu"):
             shelah_count_by_cardinality(ALEPH2, ALEPH1, VL)
+
+    def test_atom_is_an_error_in_every_context(self):
+        # Its successor is unrepresented, including where no-sharp alone would give >= lam.
+        theta = CardinalAtom("theta", True)
+        for ctx in (EMPTY_CONTEXT, GCH, VL, SHARP, NO_SHARP):
+            with pytest.raises(ValueError, match="successor of an opaque atom is unrepresented"):
+                shelah_count_by_cardinality(ALEPH1, theta, ctx)
 
     def test_consistency_of_refinement(self, rng):
         # Wherever both the V=L and the no-sharp branches are determined, the
