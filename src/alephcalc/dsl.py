@@ -164,6 +164,15 @@ def tokenize(text: str) -> list[Token]:
 # Identifiers that begin a cardinal term: aleph(...), inacc(...), aleph_N, aleph_w.
 _CARDINAL_WORD = re.compile(r"aleph|inacc|aleph_(?:w|\d+)")
 
+# The flag assumptions as the DSL writes them.  The parser finds one by its
+# first word in any case, then expects the symbol and the word that follow it.
+_FLAGS: dict[str, Assumption] = {
+    "GCH": AssumeGch(), "V=L": AssumeVEqualsL(), "sharp": AssumeSharp(True), "no-sharp": AssumeSharp(False),
+}
+_FLAG_TEXT = {item: text for text, item in _FLAGS.items()}
+_FLAG_WORDS = {first.lower(): (rest, item)
+               for text, item in _FLAGS.items() for first, *rest in [re.split("([=-])", text)]}
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -235,35 +244,23 @@ class _Parser:
         return self.arg()
 
     def assumption(self) -> Assumption:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail("GCH", "V=L", "sharp", "no-sharp", "SCH")
-        word = tok.text.lower()
-        if word == "gch":
-            self.advance()
-            return AssumeGch()
-        if word == "v":
-            self.advance()
-            self.expect("=", "'='")
-            self.expect_word("L")
-            return AssumeVEqualsL()
-        if word == "sharp":
-            self.advance()
-            return AssumeSharp(True)
-        if word == "no":
-            self.advance()
-            self.expect("-", "'-'")
-            self.expect_word("sharp")
-            return AssumeSharp(False)
+        word = self.peek().text.lower()  # only an identifier's text can be a word below
         if word == "sch":
             self.advance()
-            self.expect("(", "'('")
+            self.expect("(")
             mu = self.cardinal_arg()
-            self.expect(",", "','")
+            self.expect(",")
             scope = self.scope()
-            self.expect(")", "')'")
+            self.expect(")")
             return AssumeSch(mu, scope)
-        raise self.fail("GCH", "V=L", "sharp", "no-sharp", "SCH")
+        if word not in _FLAG_WORDS:
+            raise self.fail(*_FLAGS, "SCH")
+        self.advance()
+        rest, item = _FLAG_WORDS[word]
+        if rest:  # e.g. ['=', 'L']
+            self.expect(rest[0])
+            self.expect_word(rest[1])
+        return item
 
     def scope(self) -> SchScope:
         if self.accept(">="):
@@ -275,7 +272,7 @@ class _Parser:
             cards = [self.cardinal_arg()]
             while self.accept(","):
                 cards.append(self.cardinal_arg())
-            self.expect("}", "'}'")
+            self.expect("}")
             return ExplicitSet(tuple(cards))
         raise self.fail("'>='", "below", "'{'")
 
@@ -288,13 +285,10 @@ class _Parser:
     # arguments and literals
 
     def arg(self) -> Ast:
-        if self.at_keyword("true"):
-            self.advance()
-            return BoolLiteral(True)
-        if self.at_keyword("false"):
-            self.advance()
-            return BoolLiteral(False)
         tok = self.peek()
+        if self.at_keyword("true", "false"):
+            self.advance()
+            return BoolLiteral(tok.text.lower() == "true")
         if tok.kind == "ident" and tok.text != "w" and not _CARDINAL_WORD.fullmatch(tok.text):
             nxt = self.tokens[self.pos + 1]
             if nxt.kind == "(":
@@ -303,35 +297,32 @@ class _Parser:
 
     def query(self, name_tok: Token) -> Query:
         self.advance()
-        self.expect("(", "'('")
+        self.expect("(")
         args = [self.nested(self.arg)]
         while self.accept(","):
             args.append(self.nested(self.arg))
-        self.expect(")", "')'")
+        self.expect(")")
         return Query(name_tok.text, tuple(args))
 
     def index_expr(self) -> CardinalLiteral | OrdinalLiteral:
         """Sum of index terms folded into (cardinal base, CNF tail)."""
         base: CardinalExpr | None = None
         terms: list[tuple[CnfOrdinal, int]] = []
-        single_cardinal: CardinalExpr | None = None
-        first = True
+        card: CardinalExpr | None = None
+        count = 0
         while True:
             tok = self.peek()
             if tok.kind == "nat":
                 self.advance()
                 terms.append((ORD_ZERO, self.nat(tok)))
-                single_cardinal = None
             elif tok.kind == "ident" and tok.text == "w":
                 terms.append(self.omega_term())
-                single_cardinal = None
             elif tok.kind == "ident" and _CARDINAL_WORD.fullmatch(tok.text):
                 card = self.cardinal_primary()
                 if card == ALEPH0:
                     # In a composite index aleph_0 contributes its initial
                     # ordinal w; standing alone it stays the cardinal.
                     terms.append((ORD_ONE, 1))
-                    single_cardinal = card if first else None
                 else:
                     if base is not None and card_compare(base, card) is not Ordering.LESS:
                         raise ParseError(
@@ -340,14 +331,13 @@ class _Parser:
                         )
                     base = card
                     terms = []
-                    single_cardinal = card if first else None
             else:
                 raise self.fail("a number", "w", "aleph(...)", "inacc(...)")
-            first = False
+            count += 1
             if not self.accept("+"):
                 break
-        if single_cardinal is not None:
-            return CardinalLiteral(single_cardinal)
+        if count == 1 and card is not None:
+            return CardinalLiteral(card)
         return OrdinalLiteral(base, cnf_sum(*terms))
 
     def omega_term(self) -> tuple[CnfOrdinal, int]:
@@ -377,24 +367,24 @@ class _Parser:
             node = self.nested(self.index_expr)
             if not isinstance(node, OrdinalLiteral) or node.base is not None:
                 raise self.fail("an ordinal exponent")
-            self.expect(")", "')'")
+            self.expect(")")
             return node.tail
         raise self.fail("a number", "w", "'('")
 
     def cardinal_primary(self) -> CardinalExpr:
         tok = self.advance()
         if tok.text == "inacc":
-            self.expect("(", "'('")
+            self.expect("(")
             name = self.expect("ident", "an atom name")
-            self.expect(")", "')'")
+            self.expect(")")
             return CardinalAtom(name.text, weakly_inaccessible=True)
         if tok.text == "aleph_w":
             return Aleph(None, OMEGA)
         if tok.text != "aleph":  # aleph_N
             return Aleph(None, from_int(self.nat(tok, len("aleph_"))))
-        self.expect("(", "'('")
+        self.expect("(")
         inner = self.nested(self.index_expr)
-        self.expect(")", "')'")
+        self.expect(")")
         if isinstance(inner, CardinalLiteral):
             base, tail = initial_ordinal(inner.value)
         else:
@@ -431,17 +421,7 @@ def format_statement(ast: Ast) -> str:
     if isinstance(ast, Query):
         return f"{ast.name}({', '.join(format_statement(a) for a in ast.args)})"
     if isinstance(ast, Assume):
-        return f"assume {_format_assumption(ast.item)}"
+        return f"assume {_FLAG_TEXT.get(ast.item) or ast.item.describe()}"
     if isinstance(ast, Session):
         return "; ".join(format_statement(item) for item in ast.items)
     raise TypeError(f"not an AST node: {ast!r}")
-
-
-def _format_assumption(item: Assumption) -> str:
-    if isinstance(item, AssumeGch):
-        return "GCH"
-    if isinstance(item, AssumeVEqualsL):
-        return "V=L"
-    if isinstance(item, AssumeSharp):
-        return "sharp" if item.exists else "no-sharp"
-    return item.describe()

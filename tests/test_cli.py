@@ -80,6 +80,16 @@ class TestBatch:
         assert out.returncode == 1
         assert len(out.stdout.strip().splitlines()) == 3
 
+    def test_text_mode(self, tmp_path):
+        script = tmp_path / "s.acq"
+        script.write_text("# c\nassume GCH\nexp_lt(aleph(w), aleph(1))\ncf(oops\n")
+        out = run_cli("batch", str(script))
+        assert out.returncode == 1
+        assert out.stdout == (
+            "exp_lt(aleph(w), aleph(1))\n= aleph(w+1)   [via GCH]\ncf(oops\nerror\n"
+            "  error: syntax error at line 1, column 4: expected a number, w, aleph(...), inacc(...), found oops\n"
+        )
+
     def test_missing_file_is_usage_error(self):
         assert run_cli("batch", "/nonexistent/x.acq").returncode == 2
 

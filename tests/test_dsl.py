@@ -291,6 +291,55 @@ class TestEvaluate:
         assert results[0].verdict == "error"
         assert results[0].notes == (f"error: {note}",)
 
+    @pytest.mark.parametrize("read, line, col, expected", [
+        (evaluate_line, "@", 1, "a token, found '@'"),
+        (evaluate_line, "assume foo", 8, "GCH, V=L, sharp, no-sharp, SCH, found foo"),
+        (evaluate_line, "assume 3", 8, "GCH, V=L, sharp, no-sharp, SCH, found 3"),
+        (evaluate_line, "assume", 7, "GCH, V=L, sharp, no-sharp, SCH, found end of input"),
+        (evaluate_line, "assume V x", 10, "'=', found x"),
+        (evaluate_line, "assume V=x", 10, "L, found x"),
+        (evaluate_line, "assume no sharp", 11, "'-', found sharp"),
+        (evaluate_line, "assume no-x", 11, "sharp, found x"),
+        (evaluate_line, "assume GCH x", 12, "';' or end of input, found x"),
+        (evaluate_line, "assume SCH", 11, "'(', found end of input"),
+        (evaluate_line, "assume SCH(aleph(1) x", 21, "',', found x"),
+        (evaluate_line, "assume SCH(aleph(1), >= aleph(2) x", 34, "')', found x"),
+        (evaluate_line, "assume SCH(aleph(1), x)", 22, "'>=', below, '{', found x"),
+        (evaluate_line, "assume SCH(w, >= aleph(1))", 13, "a cardinal expression, found ,"),
+        (evaluate_line, "assume SCH(aleph(1), {aleph(2) x)", 32, "'}', found x"),
+        (evaluate_line, "aleph(w^(aleph(1)))", 18, "an ordinal exponent, found )"),
+        (evaluate_line, "w^(w", 5, "')', found end of input"),
+        (evaluate_line, "w^)", 3, "a number, w, '(', found )"),
+        (evaluate_line, "w*0", 3, "a positive coefficient, found 0"),
+        (evaluate_line, "w*x", 3, "a positive coefficient, found x"),
+        (evaluate_line, "inacc x", 7, "'(', found x"),
+        (evaluate_line, "inacc(3)", 7, "an atom name, found 3"),
+        (evaluate_line, "inacc(x", 8, "')', found end of input"),
+        (evaluate_line, "aleph", 6, "'(', found end of input"),
+        (evaluate_line, "aleph(w", 8, "')', found end of input"),
+        (evaluate_line, "aleph(inacc(theta))", 1, "an aleph index (atoms are their own fixed points), found aleph"),
+        (evaluate_line, "aleph(aleph(w)+aleph(1))", 16, "a cardinal term dominating the preceding ones, found aleph"),
+        pytest.param(evaluate_line, "aleph_" + "1" * 4001, 1,
+                     "a number of at most 4000 digits, found aleph_11111111111111111111111111...", id="long_aleph"),
+        pytest.param(evaluate_line, "w^" * (MAX_NESTING + 1) + "1", 131,
+                     "at most 64 levels of nesting, found 1", id="deep_tower"),
+        (evaluate_line, "cf(aleph(1)", 12, "')', found end of input"),
+        (evaluate_line, "cf(aleph(1),)", 13, "a number, w, aleph(...), inacc(...), found )"),
+        (parse_assumptions, "gch x", 5, "',' or end of input, found x"),
+        (parse_assumptions, "gch,", 5, "GCH, V=L, sharp, no-sharp, SCH, found end of input"),
+    ])
+    def test_syntax_error_notes(self, read, line, col, expected):
+        if read is evaluate_line:
+            results, _ = evaluate_line(line, EMPTY_CONTEXT)
+            (record,) = results
+            assert record.verdict == "error"
+            (note,) = record.notes
+        else:
+            with pytest.raises(ParseError) as err:
+                read(line)
+            note = f"error: {err.value}"
+        assert note == f"error: syntax error at line 1, column {col}: expected {expected}"
+
     def test_module_errors_surface_verbatim(self):
         results, _ = evaluate_line("rank_excluded(aleph(1), aleph(1))", EMPTY_CONTEXT)
         assert results[0].verdict == "error"
@@ -345,6 +394,16 @@ class TestBatch:
         assert status == 0
         assert len(lines) == 1
         assert '"value": "aleph(w+1)"' in lines[0]
+
+    def test_text_mode(self):
+        out = io.StringIO()
+        status = run_batch(["# c", "assume GCH", "exp_lt(aleph(w), aleph(1))", "cf(oops"],
+                           EMPTY_CONTEXT, out, as_json=False)
+        assert status == 1
+        assert out.getvalue() == (
+            "exp_lt(aleph(w), aleph(1))\n= aleph(w+1)   [via GCH]\ncf(oops\nerror\n"
+            "  error: syntax error at line 1, column 4: expected a number, w, aleph(...), inacc(...), found oops\n"
+        )
 
     def test_determinism(self):
         text = "assume GCH\nexp_lt(aleph(w), aleph(1))\ninternal_size(aleph(1), aleph(1), aleph(w+1))\n"

@@ -19,6 +19,7 @@ from alephcalc import (
     aleph,
     build_context,
     cofinality,
+    evaluate_line,
     hilbert_count_by_cardinality,
     hilbert_count_by_internal_size,
     internal_size_of_cardinality,
@@ -161,6 +162,20 @@ class TestShelahByCardinality:
         # mu = aleph_1 with countable cofinality: genuinely undetermined
         out = shelah_count_by_cardinality(ALEPH1, A_W, NO_SHARP)
         assert isinstance(out, UndeterminedCount)
+
+    @pytest.mark.parametrize("line, record", [
+        # Covering pins cf^L(lam) = cf(lam) = aleph_1 < mu: eventual categoricity fails.
+        ("assume no-sharp; shelah_card(aleph(2), aleph(aleph(1)))",
+         '{"query": "shelah_card(aleph(2), aleph(aleph(1)))", "verdict": "determined", "value": "1", '
+         '"assumptions_used": ["no-sharp"], "notes": []}'),
+        ("shelah_card(aleph(2), aleph(aleph(1)))",
+         '{"query": "shelah_card(aleph(2), aleph(aleph(1)))", "verdict": "independent", "value": null, '
+         '"assumptions_used": [], "notes": ["missing: the status of 0# (with sharp: aleph(aleph(1)+1); '
+         'without: 1)"]}'),
+    ])
+    def test_pinned_cofinality_below_mu_gives_one_model(self, line, record):
+        results, _ = evaluate_line(line, EMPTY_CONTEXT)
+        assert [r.to_json_line() for r in results] == [record]
 
     def test_unknown_sharp(self):
         # mu = aleph_0: the count is a ZFC theorem, both branches agree.
