@@ -32,6 +32,7 @@ malformed line always becomes a ``syntax error`` record, never a crash.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from typing import Callable, NamedTuple, TypeVar, Union
 
 from .cardinals import ALEPH0, IDENT, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
@@ -134,29 +135,40 @@ class Token(NamedTuple):
 
 
 _SCANNER = re.compile(
-    r"(?P<nat>\d+)|(?P<ident>" + IDENT.pattern + r")|(?P<symbol>>=|[-(){},;+*^=])"
-    r"|(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<bad>.)"
+    r"(?P<nat>\d+)|(?P<ident>" + IDENT.pattern + r")|(?P<symbol>>=|[-(){},;+*^=])|(?P<space>\s+)|(?P<bad>.)"
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """Line and column of offset ``pos``; only an error needs them."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Token kinds ending in 'eof', texts ending in "" and start offsets ending in ``len(text)``."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     for m in _SCANNER.finditer(text):
         kind = m.lastgroup
         if kind == "space":
             continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
         word = m.group()
-        col = m.start() - line_start + 1
         if kind == "bad":
-            raise ParseError(line, col, ("a token",), repr(word))
-        tokens.append(Token(word if kind == "symbol" else kind, word, line, col))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+            raise ParseError(*_where(text, m.start()), ("a token",), repr(word))
+        kinds.append(word if kind == "symbol" else kind)
+        texts.append(word)
+        starts.append(m.start())
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
+
+
+def tokenize(text: str) -> list[Token]:
+    breaks = [m.start() for m in re.finditer("\n", text)]  # _where per token would be quadratic
+    return [Token(kind, word, n + 1, pos - (breaks[n - 1] if n else -1))
+            for kind, word, pos in zip(*_scan(text)) for n in [bisect(breaks, pos)]]
 
 
 # --- parser ------------------------------------------------------------------
@@ -175,48 +187,43 @@ _FLAG_WORDS = {first.lower(): (rest, item)
 
 
 class _Parser:
+    """Reads the scanner's lists by index; ``pos`` is the index of the next token."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = _scan(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, *expected: str, at: int | None = None) -> ParseError:
+        i = self.pos if at is None else at
+        found = self.texts[i] if self.kinds[i] != "eof" else "end of input"
+        return ParseError(*_where(self.text, self.starts[i]), expected, found)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, *expected: str) -> ParseError:
-        tok = self.peek()
-        found = tok.text if tok.kind != "eof" else "end of input"
-        return ParseError(tok.line, tok.col, expected, found)
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.peek().kind != kind:
+    def expect(self, kind: str, what: str | None = None) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
             raise self.fail(what or repr(kind))
-        return self.advance()
+        self.pos = i + 1
+        return i
 
-    def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+    def accept(self, kind: str) -> bool:
+        hit = self.kinds[self.pos] == kind
+        self.pos += hit
+        return hit
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text.lower() in words
+    def accept_word(self, *words: str) -> bool:
+        """Consume the next token if it is an identifier among ``words`` in any case."""
+        i = self.pos
+        hit = self.kinds[i] == "ident" and self.texts[i].lower() in words
+        self.pos = i + hit
+        return hit
 
-    def expect_word(self, word: str) -> None:
-        if not self.at_keyword(word.lower()):
-            raise self.fail(word)
-        self.advance()
-
-    def nat(self, tok: Token, start: int = 0) -> int:
-        """The natural written by the digits ``tok.text[start:]``."""
-        digits = tok.text[start:]
+    def nat(self, i: int, start: int = 0) -> int:
+        """The natural written by the digits ``texts[i][start:]``."""
+        digits = self.texts[i][start:]
         if len(digits) > MAX_DIGITS:
-            raise ParseError(tok.line, tok.col, (f"a number of at most {MAX_DIGITS} digits",), tok.text)
+            raise self.fail(f"a number of at most {MAX_DIGITS} digits", at=i)
         return int(digits)
 
     def nested(self, read: Callable[[], T]) -> T:
@@ -238,15 +245,14 @@ class _Parser:
         return items[0] if len(items) == 1 else Session(tuple(items))
 
     def statement(self) -> Ast:
-        if self.at_keyword("assume"):
-            self.advance()
+        if self.accept_word("assume"):
             return Assume(self.assumption())
         return self.arg()
 
     def assumption(self) -> Assumption:
-        word = self.peek().text.lower()  # only an identifier's text can be a word below
+        word = self.texts[self.pos].lower()  # only an identifier's text can be a word below
         if word == "sch":
-            self.advance()
+            self.pos += 1
             self.expect("(")
             mu = self.cardinal_arg()
             self.expect(",")
@@ -255,18 +261,18 @@ class _Parser:
             return AssumeSch(mu, scope)
         if word not in _FLAG_WORDS:
             raise self.fail(*_FLAGS, "SCH")
-        self.advance()
+        self.pos += 1
         rest, item = _FLAG_WORDS[word]
         if rest:  # e.g. ['=', 'L']
             self.expect(rest[0])
-            self.expect_word(rest[1])
+            if not self.accept_word(rest[1].lower()):
+                raise self.fail(rest[1])
         return item
 
     def scope(self) -> SchScope:
         if self.accept(">="):
             return AtLeast(self.cardinal_arg())
-        if self.at_keyword("below"):
-            self.advance()
+        if self.accept_word("below"):
             return UnboundedBelow(self.cardinal_arg())
         if self.accept("{"):
             cards = [self.cardinal_arg()]
@@ -285,24 +291,18 @@ class _Parser:
     # arguments and literals
 
     def arg(self) -> Ast:
-        tok = self.peek()
-        if self.at_keyword("true", "false"):
-            self.advance()
-            return BoolLiteral(tok.text.lower() == "true")
-        if tok.kind == "ident" and tok.text != "w" and not _CARDINAL_WORD.fullmatch(tok.text):
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "(":
-                return self.query(tok)
+        i = self.pos
+        if self.accept_word("true", "false"):
+            return BoolLiteral(self.texts[i].lower() == "true")
+        text = self.texts[i]
+        if self.kinds[i] == "ident" and text != "w" and not _CARDINAL_WORD.fullmatch(text) and self.kinds[i + 1] == "(":
+            self.pos = i + 2
+            args = [self.nested(self.arg)]
+            while self.accept(","):
+                args.append(self.nested(self.arg))
+            self.expect(")")
+            return Query(text, tuple(args))
         return self.index_expr()
-
-    def query(self, name_tok: Token) -> Query:
-        self.advance()
-        self.expect("(")
-        args = [self.nested(self.arg)]
-        while self.accept(","):
-            args.append(self.nested(self.arg))
-        self.expect(")")
-        return Query(name_tok.text, tuple(args))
 
     def index_expr(self) -> CardinalLiteral | OrdinalLiteral:
         """Sum of index terms folded into (cardinal base, CNF tail)."""
@@ -311,13 +311,14 @@ class _Parser:
         card: CardinalExpr | None = None
         count = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "nat":
-                self.advance()
-                terms.append((ORD_ZERO, self.nat(tok)))
-            elif tok.kind == "ident" and tok.text == "w":
+            i = self.pos
+            kind, text = self.kinds[i], self.texts[i]
+            if kind == "nat":
+                self.pos = i + 1
+                terms.append((ORD_ZERO, self.nat(i)))
+            elif kind == "ident" and text == "w":
                 terms.append(self.omega_term())
-            elif tok.kind == "ident" and _CARDINAL_WORD.fullmatch(tok.text):
+            elif kind == "ident" and _CARDINAL_WORD.fullmatch(text):
                 card = self.cardinal_primary()
                 if card == ALEPH0:
                     # In a composite index aleph_0 contributes its initial
@@ -325,10 +326,7 @@ class _Parser:
                     terms.append((ORD_ONE, 1))
                 else:
                     if base is not None and card_compare(base, card) is not Ordering.LESS:
-                        raise ParseError(
-                            tok.line, tok.col,
-                            ("a cardinal term dominating the preceding ones",), tok.text,
-                        )
+                        raise self.fail("a cardinal term dominating the preceding ones", at=i)
                     base = card
                     terms = []
             else:
@@ -341,25 +339,25 @@ class _Parser:
         return OrdinalLiteral(base, cnf_sum(*terms))
 
     def omega_term(self) -> tuple[CnfOrdinal, int]:
-        self.advance()  # 'w'
+        self.pos += 1  # 'w'
         exp = ORD_ONE
         if self.accept("^"):
             exp = self.nested(self.exponent)
         coeff = 1
         if self.accept("*"):
-            tok = self.expect("nat", "a positive coefficient")
-            coeff = self.nat(tok)
+            i = self.expect("nat", "a positive coefficient")
+            coeff = self.nat(i)
             if coeff < 1:
-                raise ParseError(tok.line, tok.col, ("a positive coefficient",), tok.text)
+                raise self.fail("a positive coefficient", at=i)
         return exp, coeff
 
     def exponent(self) -> CnfOrdinal:
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.advance()
-            return from_int(self.nat(tok))
-        if tok.kind == "ident" and tok.text == "w":
-            self.advance()
+        i = self.pos
+        if self.kinds[i] == "nat":
+            self.pos = i + 1
+            return from_int(self.nat(i))
+        if self.kinds[i] == "ident" and self.texts[i] == "w":
+            self.pos = i + 1
             if self.accept("^"):
                 return omega_power(self.nested(self.exponent))
             return OMEGA
@@ -372,16 +370,18 @@ class _Parser:
         raise self.fail("a number", "w", "'('")
 
     def cardinal_primary(self) -> CardinalExpr:
-        tok = self.advance()
-        if tok.text == "inacc":
+        i = self.pos
+        self.pos = i + 1
+        text = self.texts[i]
+        if text == "inacc":
             self.expect("(")
-            name = self.expect("ident", "an atom name")
+            name = self.texts[self.expect("ident", "an atom name")]
             self.expect(")")
-            return CardinalAtom(name.text, weakly_inaccessible=True)
-        if tok.text == "aleph_w":
+            return CardinalAtom(name, weakly_inaccessible=True)
+        if text == "aleph_w":
             return Aleph(None, OMEGA)
-        if tok.text != "aleph":  # aleph_N
-            return Aleph(None, from_int(self.nat(tok, len("aleph_"))))
+        if text != "aleph":  # aleph_N
+            return Aleph(None, from_int(self.nat(i, len("aleph_"))))
         self.expect("(")
         inner = self.nested(self.index_expr)
         self.expect(")")
@@ -390,7 +390,7 @@ class _Parser:
         else:
             base, tail = inner.base, inner.tail
         if isinstance(base, CardinalAtom):
-            raise ParseError(tok.line, tok.col, ("an aleph index (atoms are their own fixed points)",), tok.text)
+            raise self.fail("an aleph index (atoms are their own fixed points)", at=i)
         return Aleph(base, tail)
 
 

@@ -274,19 +274,30 @@ def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult],
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
-    Returns the exit status: nonzero iff any line produced an error record.
+    A repeated line is evaluated once per context.  Returns the exit status:
+    nonzero iff any line produced an error record.
     """
     status = 0
+    # Stripped line -> (its rendered records, whether one is an error) under
+    # ctx.  A context never comes back once left, so clearing on every change
+    # of ctx is the same as keying on (line, ctx).  4,096 lines bound memory.
+    memo: dict[str, tuple[tuple[str, ...], bool]] = {}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        results, ctx = evaluate_line(line, ctx)
-        for result in results:
-            if result.verdict == "error":
-                status = 1
-            if as_json:
-                out.write(result.to_json_line() + "\n")
+        hit = memo.get(line)
+        if hit is None:
+            results, new_ctx = evaluate_line(line, ctx)
+            hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
+                   any(r.verdict == "error" for r in results))
+            if new_ctx is ctx and len(memo) < 4096:
+                memo[line] = hit
             else:
-                out.write(f"{result.query}\n{result.pretty()}\n")
+                memo.clear()
+            ctx = new_ctx
+        records, error = hit
+        status |= error
+        for record in records:
+            out.write(record)
     return status

@@ -51,6 +51,12 @@ class TestCompare:
         assert ab.value == -ba.value
         assert (ab is Ordering.EQUAL) == (a == b)
 
+    @given(cardinals(with_atoms=True), cardinals(with_atoms=True))
+    def test_less_reverses_to_greater(self, a, b):
+        # arithmetic.triangle relies on this: from mu < lam it concludes lam > mu.
+        if card_compare(a, b) is Ordering.LESS:
+            assert card_compare(b, a) is Ordering.GREATER
+
     @given(
         st.one_of(ANY_ATOMS, cardinals()),
         st.one_of(ANY_ATOMS, cardinals()),

@@ -409,6 +409,68 @@ class TestBatch:
         text = "assume GCH\nexp_lt(aleph(w), aleph(1))\ninternal_size(aleph(1), aleph(1), aleph(w+1))\n"
         assert self._run(text) == self._run(text)
 
+    def test_reask_across_a_context_change(self):
+        _, out = self._run("two_lt(aleph(1))\nassume GCH\ntwo_lt(aleph(1))\ntwo_lt(aleph(1))\n")
+        assert [json.loads(r)["verdict"] for r in out.splitlines()] == ["independent", "determined", "determined"]
+        _, out = self._run("assume GCH; two_lt(aleph(1))\n" * 3)
+        records = out.splitlines()
+        assert len(records) == 3 and len(set(records)) == 1
+        assert json.loads(records[0])["verdict"] == "determined"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_lines_match_a_line_by_line_reference(self, seed):
+        rng = random.Random(seed)
+        for ctx in (EMPTY_CONTEXT, build_context(gch=True), build_context(zero_sharp=ZeroSharp.EXISTS)):
+            _check_against_reference(batch_session_lines(rng, [], 120), ctx)
+
+    def test_more_distinct_lines_than_the_memo_holds(self):
+        lines = batch_session_lines(random.Random(4096), [f"cf(aleph({i}))" for i in range(4200)], 400)
+        assert len({line.strip() for line in lines}) > 4096
+        _check_against_reference(lines, EMPTY_CONTEXT)
+
+
+BATCH_ASSUMES = ["assume GCH", "assume V=L", "assume sharp", "assume no-sharp", "assume SCH(aleph(1), >= aleph(2))"]
+BATCH_BAD_LINES = ["cf(", "cf(oops", "nope(aleph(1))", "two_lt(aleph(1), aleph(2))", "succ(inacc(theta))", "@"]
+
+
+def batch_session_lines(rng, lines, count):
+    """``lines`` extended by ``count`` batch lines: canonical statements, re-asks
+    of earlier lines, assumes (some conflicting), ``assume GCH; ...`` sessions,
+    bad lines, blank lines and comments, some with surrounding whitespace."""
+    for _ in range(count):
+        roll = rng.random()
+        if lines and roll < 0.3:
+            line = rng.choice(lines)
+        elif roll < 0.4:
+            line = rng.choice(BATCH_ASSUMES)
+        elif roll < 0.45:
+            line = "assume GCH; " + format_statement(random_statement(rng))
+        elif roll < 0.5:
+            line = rng.choice(BATCH_BAD_LINES)
+        elif roll < 0.55:
+            line = rng.choice(("", "  ", "# note"))
+        else:
+            line = format_statement(random_statement(rng))
+        lines.append(rng.choice(("", " ", "\t")) + line + rng.choice(("", " ")))
+    return lines
+
+
+def _check_against_reference(lines, ctx):
+    """run_batch gives the output and status of evaluating every line afresh."""
+    for as_json in (True, False):
+        expected, status = [], 0
+        ref_ctx = ctx
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            results, ref_ctx = evaluate_line(line, ref_ctx)
+            for r in results:
+                status |= r.verdict == "error"
+                expected.append(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n")
+        out = io.StringIO()
+        assert (run_batch(lines, ctx, out, as_json=as_json), out.getvalue()) == (status, "".join(expected))
+
 
 def test_every_query_is_in_a_golden_session():
     data = Path(__file__).parent / "data"
@@ -526,3 +588,49 @@ def test_evaluate_line_never_raises(text):
         ast = parse(text)
         items = ast.items if isinstance(ast, Session) else (ast,)
         assert all(isinstance(item, Assume) for item in items)
+
+
+def _line_col(text, pos):
+    """Line and column of offset ``pos``, counted one character at a time."""
+    line, col = 1, 1
+    for ch in text[:pos]:
+        if ch == "\n":
+            line, col = line + 1, 1
+        else:
+            col += 1
+    return line, col
+
+
+DSL_TEXT = st.text(
+    alphabet=st.sampled_from(list("()[]{},;+*^=->_ 019wWalephincsutrfGCHSVL\n\t\r\u00b2\u00e9\u03bb\u2003")),
+    max_size=40,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(DSL_TEXT, mutated_golden_lines(), st.lists(st.sampled_from(GOLDEN_LINES), max_size=4).map("\n".join)))
+@example("cf(aleph(1)\n")
+@example("cf(\n\r\taleph(1)) @")
+@example("cf(\u03bb,\n  \u00e9(1))\n\n")
+def test_positions_match_a_character_count(text):
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        pass
+    else:
+        pos = 0
+        for tok in tokens[:-1]:
+            pos = text.index(tok.text, pos)  # only whitespace lies between tokens
+            assert (tok.line, tok.col) == _line_col(text, pos)
+            pos += len(tok.text)
+        assert (tokens[-1].line, tokens[-1].col) == _line_col(text, len(text))
+    offsets = {_line_col(text, i): i for i in range(len(text) + 1)}
+    for read in (tokenize, parse, parse_assumptions):
+        try:
+            read(text)
+        except ParseError as err:
+            pos = offsets[err.line, err.col]
+            if err.found == "end of input":
+                assert pos == len(text)
+            else:
+                assert text.startswith(err.found.removesuffix("..."), pos) or err.found == repr(text[pos])
