@@ -66,9 +66,8 @@ def _cmd_repl(args, parser) -> int:
         if stripped == "context":
             print(f"context: {ctx.describe()}")
             continue
-        before = ctx
         results, ctx = evaluate_line(stripped, ctx)
-        if not results and ctx is not before:
+        if not results:
             print(f"context: {ctx.describe()}")
         for result in results:
             print(result.pretty())

@@ -47,7 +47,7 @@ from .hypotheses import (
     extend_context,
     l_cofinality,
 )
-from .ordinals import _Record, _set
+from .ordinals import _PINS, _Record, _set
 
 
 class QueryError(Exception):
@@ -274,30 +274,34 @@ def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult],
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
-    A repeated line is evaluated once per context.  Returns the exit status:
-    nonzero iff any line produced an error record.
+    A repeated line is evaluated once per context, and the values the lines build live until the
+    call returns.  Returns the exit status: nonzero iff any line produced an error record.
     """
     status = 0
-    # Stripped line -> (its rendered records, whether one is an error) under
-    # ctx.  A context never comes back once left, so clearing on every change
-    # of ctx is the same as keying on (line, ctx).  4,096 lines bound memory.
+    # Stripped line -> (its rendered records, whether one is an error) under ctx.  A context never
+    # comes back once left, so clearing on every change of ctx is the same as keying on (line, ctx).
+    # 4,096 lines bound the memo.  _PINS keeps the values built alive until return, 4,096 at most.
     memo: dict[str, tuple[tuple[str, ...], bool]] = {}
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        hit = memo.get(line)
-        if hit is None:
-            results, new_ctx = evaluate_line(line, ctx)
-            hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
-                   any(r.verdict == "error" for r in results))
-            if new_ctx is ctx and len(memo) < 4096:
-                memo[line] = hit
-            else:
-                memo.clear()
-            ctx = new_ctx
-        records, error = hit
-        status |= error
-        for record in records:
-            out.write(record)
+    outer, _PINS.held = _PINS.held, []
+    try:
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            hit = memo.get(line)
+            if hit is None:
+                results, new_ctx = evaluate_line(line, ctx)
+                hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
+                       any(r.verdict == "error" for r in results))
+                if new_ctx is ctx and len(memo) < 4096:
+                    memo[line] = hit
+                else:
+                    memo.clear()
+                ctx = new_ctx
+            records, error = hit
+            status |= error
+            for record in records:
+                out.write(record)
+    finally:
+        _PINS.held = outer
     return status

@@ -182,13 +182,14 @@ def extend_context(
     zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN,
     sch: Iterable[SchAssumption] = (),
 ) -> HypothesisContext:
-    """Fold further assumptions into ctx (forward-only; conflicts raise)."""
+    """Fold further assumptions into ctx (forward-only; conflicts raise; adding nothing returns ctx)."""
     zs = ctx.zero_sharp
     if zero_sharp is not ZeroSharp.UNKNOWN:
         if zs is not ZeroSharp.UNKNOWN and zs is not zero_sharp:
             raise InconsistentContextError("inconsistent context: 0# cannot both exist and not exist")
         zs = zero_sharp
-    return HypothesisContext(ctx.gch or gch, ctx.v_equals_l or v_equals_l, zs, ctx.sch + tuple(sch))
+    new = HypothesisContext(ctx.gch or gch, ctx.v_equals_l or v_equals_l, zs, ctx.sch + tuple(sch))
+    return ctx if new == ctx else new
 
 
 # --- coverage queries -------------------------------------------------------

@@ -117,6 +117,11 @@ class TestRepl:
         assert "= aleph(w+1)" in out.stdout
         assert "context: GCH" in out.stdout
 
+    def test_a_redundant_assumption_still_echoes_the_context(self):
+        out = run_cli("repl", input_text="assume GCH\nassume GCH\nquit\n")
+        assert out.returncode == 0
+        assert out.stdout.count("context: GCH\n") == 2
+
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Both cost milliseconds of every process's start; the CLI needs neither.

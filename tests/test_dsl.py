@@ -24,6 +24,7 @@ from alephcalc import (
     parse,
     run_batch,
 )
+from alephcalc import ordinals
 from alephcalc.dsl import (
     MAX_FOUND,
     MAX_NESTING,
@@ -427,6 +428,20 @@ class TestBatch:
         lines = batch_session_lines(random.Random(4096), [f"cf(aleph({i}))" for i in range(4200)], 400)
         assert len({line.strip() for line in lines}) > 4096
         _check_against_reference(lines, EMPTY_CONTEXT)
+
+    def test_the_pins_restart_at_their_cap(self, monkeypatch):
+        monkeypatch.setattr(ordinals, "_PIN_LIMIT", 8)
+        lines = batch_session_lines(random.Random(15), [], 200)
+        _check_against_reference(lines, EMPTY_CONTEXT)
+        held = []
+
+        class Out:
+            def write(self, record):
+                held.append(len(ordinals._PINS.held))
+
+        run_batch(lines, EMPTY_CONTEXT, Out(), as_json=True)
+        assert 0 < max(held) <= 8
+        assert any(later < earlier for earlier, later in zip(held, held[1:]))
 
 
 BATCH_ASSUMES = ["assume GCH", "assume V=L", "assume sharp", "assume no-sharp", "assume SCH(aleph(1), >= aleph(2))"]

@@ -73,6 +73,15 @@ class TestBuildContext:
         with pytest.raises(ValueError, match="regular"):
             build_context(sch=(SchAssumption(A_W, AtLeast(A_W)),))
 
+    def test_an_assumption_that_adds_nothing_keeps_the_context(self):
+        assert extend_context(VL, gch=True) is VL
+        assert extend_context(VL, zero_sharp=ZeroSharp.NOT_EXISTS) is VL
+        assert extend_context(GCH) is GCH
+        sch = build_context(sch=(SchAssumption(ALEPH1, AtLeast(ALEPH2)),))
+        assert extend_context(sch, sch=(SchAssumption(ALEPH1, AtLeast(ALEPH2)),)) is sch
+        assert extend_context(VL, sch=sch.sch) == build_context(v_equals_l=True, sch=sch.sch)
+        assert extend_context(GCH, v_equals_l=True) == VL
+
 
 class TestCtxImpliesSch:
     def test_gch_covers_everything(self):

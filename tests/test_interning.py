@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import io
 import pickle
 import sys
 import threading
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alephcalc import ordinals
+from alephcalc import EMPTY_CONTEXT, ordinals, run_batch
 from alephcalc.cardinals import ALEPH1, ALEPH2, Aleph, CardinalAtom, card_compare, card_index_classify, successor
 from alephcalc.dsl import ParseError, parse, tokenize
 from alephcalc.ordinals import (
@@ -97,6 +98,93 @@ def test_the_table_does_not_retain_values():
     del values
     gc.collect()
     assert len(ordinals._TABLE) == before
+
+
+class Stream:
+    """A batch's output: calls ``on_write`` before it keeps each record."""
+
+    def __init__(self, on_write=lambda: None):
+        self.on_write, self.records = on_write, []
+
+    def write(self, record: str) -> None:
+        self.on_write()
+        self.records.append(record)
+
+
+def fresh_lines(offset: int, count: int = 40) -> list[str]:
+    """Batch lines whose cardinals nothing else keeps alive."""
+    return [f"succ(aleph(w*{offset + i}+{i + 1}))" for i in range(count)]
+
+
+def test_a_batch_keeps_the_values_it_builds_until_it_returns():
+    gc.collect()
+    before = len(ordinals._TABLE)
+    held, alive = [], []
+    out = Stream(lambda: (held.append(len(ordinals._PINS.held)), alive.append(len(ordinals._TABLE))))
+    assert run_batch(fresh_lines(8_100_000), EMPTY_CONTEXT, out, as_json=True) == 0
+    assert len(out.records) == 40
+    assert held == sorted(held) and held[0] > 0 and held[-1] >= 40 * 3
+    assert alive[-1] >= before + 40 * 3  # the first line's values outlive it
+    assert ordinals._PINS.held is None
+    gc.collect()
+    assert len(ordinals._TABLE) == before
+
+
+def test_a_batch_that_raises_midway_drops_its_values():
+    gc.collect()
+    before = len(ordinals._TABLE)
+
+    def fail_on_the_fifth_record():
+        if len(out.records) == 4:
+            raise OSError("no space left on the output")
+
+    out = Stream(fail_on_the_fifth_record)
+    with pytest.raises(OSError, match="no space"):
+        run_batch(fresh_lines(8_200_000), EMPTY_CONTEXT, out, as_json=False)
+    assert len(out.records) == 4
+    assert ordinals._PINS.held is None
+    gc.collect()
+    assert len(ordinals._TABLE) == before
+
+
+def test_a_nested_batch_restores_the_outer_pins():
+    seen = []
+
+    def nest():
+        if not seen:
+            outer = ordinals._PINS.held
+            inner = Stream(lambda: seen.append(ordinals._PINS.held))
+            run_batch(fresh_lines(8_300_000, 3), EMPTY_CONTEXT, inner, as_json=True)
+            seen.extend([outer, ordinals._PINS.held])
+
+    out = Stream(nest)
+    run_batch(fresh_lines(8_400_000, 3), EMPTY_CONTEXT, out, as_json=True)
+    inner_pins, outer, restored = seen[0], seen[-2], seen[-1]
+    assert len(seen) == 5 and all(pins is inner_pins for pins in seen[:3])
+    assert inner_pins is not outer and restored is outer and isinstance(outer, list)
+    assert len(out.records) == 3 and ordinals._PINS.held is None
+
+
+def test_values_built_in_another_thread_during_a_batch_are_not_pinned():
+    seen = []
+
+    def build_elsewhere():
+        if seen:
+            return
+        gc.collect()
+        before, pins = len(ordinals._TABLE), len(ordinals._PINS.held)
+
+        def build():
+            values = [Aleph(ALEPH1, from_int(9_100_000 + i)) for i in range(100)]
+            return ordinals._PINS.held, len(ordinals._TABLE) - before >= 200
+
+        with ThreadPoolExecutor(1) as pool:
+            seen.append(pool.submit(build).result(timeout=60))
+        gc.collect()
+        seen.append((len(ordinals._TABLE) - before, len(ordinals._PINS.held) - pins))
+
+    run_batch(fresh_lines(8_500_000, 3), EMPTY_CONTEXT, Stream(build_elsewhere), as_json=True)
+    assert seen == [(None, True), (0, 0)]
 
 
 def test_a_rejected_value_leaves_no_entry():
