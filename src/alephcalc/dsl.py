@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple, TypeVar, Union
 
 from .cardinals import ALEPH0, IDENT, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
-from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, _Record, _set, cnf_sum, from_int, omega_power
+from .ordinals import (OMEGA, ORD_ONE, ORD_ZERO, _PINS, CnfOrdinal, Ordering, _Record, _set, cnf_sum, from_int,
+                       omega_power)
 
 # Deeper input would exhaust the interpreter's stack in the engine or the
 # formatter; a probe found both safe to about 160 levels of w^.
@@ -134,9 +135,10 @@ class Token(NamedTuple):
     col: int
 
 
-_SCANNER = re.compile(
-    r"(?P<nat>\d+)|(?P<ident>" + IDENT.pattern + r")|(?P<symbol>>=|[-(){},;+*^=])|(?P<space>\s+)|(?P<bad>.)"
-)
+_TOKEN = re.compile(r"\d+|" + IDENT.pattern + r"|>=|[-(){},;+*^=]|\S")
+# The first character no token can start: one outside the token alphabet, or a '>' not before '='.
+_BAD = re.compile(r"[^\w\s(){},;+*^=-](?<!>(?==))")
+_SYMBOLS = frozenset(("(", ")", "{", "}", ",", ";", "+", "*", "^", "=", "-", ">="))
 
 
 def _where(text: str, pos: int) -> tuple[int, int]:
@@ -144,31 +146,27 @@ def _where(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Token kinds ending in 'eof', texts ending in "" and start offsets ending in ``len(text)``."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    for m in _SCANNER.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        word = m.group()
-        if kind == "bad":
-            raise ParseError(*_where(text, m.start()), ("a token",), repr(word))
-        kinds.append(word if kind == "symbol" else kind)
-        texts.append(word)
-        starts.append(m.start())
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """Token kinds ending in 'eof' and texts ending in "": one search for a bad character, one findall."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(*_where(text, bad.start()), ("a token",), repr(bad.group()))
+    texts = _TOKEN.findall(text)
+    kinds = [word if word in _SYMBOLS else "nat" if word[0].isdecimal() else "ident" for word in texts]
     kinds.append("eof")
     texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
+    return kinds, texts
+
+
+def _starts(text: str) -> list[int]:
+    """Start offsets of ``_scan``'s tokens, ending in ``len(text)``; only errors and ``tokenize`` need them."""
+    return [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
 
 
 def tokenize(text: str) -> list[Token]:
     breaks = [m.start() for m in re.finditer("\n", text)]  # _where per token would be quadratic
     return [Token(kind, word, n + 1, pos - (breaks[n - 1] if n else -1))
-            for kind, word, pos in zip(*_scan(text)) for n in [bisect(breaks, pos)]]
+            for kind, word, pos in zip(*_scan(text), _starts(text)) for n in [bisect(breaks, pos)]]
 
 
 # --- parser ------------------------------------------------------------------
@@ -186,19 +184,31 @@ _FLAG_WORDS = {first.lower(): (rest, item)
                for text, item in _FLAGS.items() for first, *rest in [re.split("([=-])", text)]}
 
 
+def _closer(kinds: list[str], i: int) -> int | None:
+    """The index of the ')' that closes the '(' at ``i``, if it lies within 64 tokens.  A longer
+    literal is parsed afresh: its key would cost time and memory once per level of nesting around it."""
+    depth = 0
+    for j, kind in enumerate(kinds[i:i + 64], i):
+        depth += (kind == "(") - (kind == ")")
+        if not depth:
+            return j
+    return None
+
+
 class _Parser:
     """Reads the scanner's lists by index; ``pos`` is the index of the next token."""
 
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.starts = _scan(text)
+        self.kinds, self.texts = _scan(text)
         self.pos = 0
         self.depth = 0
+        self.literals: dict[str, tuple[Aleph, int]] | None = _PINS.literals
 
     def fail(self, *expected: str, at: int | None = None) -> ParseError:
         i = self.pos if at is None else at
         found = self.texts[i] if self.kinds[i] != "eof" else "end of input"
-        return ParseError(*_where(self.text, self.starts[i]), expected, found)
+        return ParseError(*_where(self.text, _starts(self.text)[i]), expected, found)
 
     def expect(self, kind: str, what: str | None = None) -> int:
         i = self.pos
@@ -382,6 +392,17 @@ class _Parser:
             return Aleph(None, OMEGA)
         if text != "aleph":  # aleph_N
             return Aleph(None, from_int(self.nat(i, len("aleph_"))))
+        # In run_batch, literals maps an aleph(...)'s token texts, joined by ' ' so that "1 0" is not
+        # "10", to its value and the deepest depth it parsed at, for 4,096 literals at most.  As in a
+        # packrat parser (Ford, ICFP 2002), a hit skips the parse: a literal parses alike at any depth
+        # up to one it parsed at, since the only depth check, in nested(), is monotone.
+        key = hit = None
+        if (literals := self.literals) is not None and self.kinds[i + 1] == "(":
+            if (j := _closer(self.kinds, i + 1)) is not None:
+                hit = literals.get(key := " ".join(self.texts[i:j + 1]))
+                if hit is not None and self.depth <= hit[1]:
+                    self.pos = j + 1
+                    return hit[0]
         self.expect("(")
         inner = self.nested(self.index_expr)
         self.expect(")")
@@ -391,7 +412,10 @@ class _Parser:
             base, tail = inner.base, inner.tail
         if isinstance(base, CardinalAtom):
             raise self.fail("an aleph index (atoms are their own fixed points)", at=i)
-        return Aleph(base, tail)
+        value = Aleph(base, tail)
+        if key is not None and (hit is not None or len(literals) < 4096):
+            literals[key] = (value, self.depth)
+        return value
 
 
 def parse(text: str) -> Ast:

@@ -274,15 +274,18 @@ def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult],
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
-    A repeated line is evaluated once per context, and the values the lines build live until the
-    call returns.  Returns the exit status: nonzero iff any line produced an error record.
+    A repeated line is evaluated once per context, a repeated aleph(...) literal is parsed once, and
+    the values the lines build live until the call returns.  Returns the exit status: nonzero iff
+    any line produced an error record.
     """
     status = 0
     # Stripped line -> (its rendered records, whether one is an error) under ctx.  A context never
     # comes back once left, so clearing on every change of ctx is the same as keying on (line, ctx).
-    # 4,096 lines bound the memo.  _PINS keeps the values built alive until return, 4,096 at most.
+    # 4,096 lines bound the memo.  Until return, _PINS keeps the values built alive, 4,096 at most,
+    # and holds the parser's table of aleph(...) literals.
     memo: dict[str, tuple[tuple[str, ...], bool]] = {}
-    outer, _PINS.held = _PINS.held, []
+    outer = _PINS.held, _PINS.literals
+    _PINS.held, _PINS.literals = [], {}
     try:
         for raw in lines:
             line = raw.strip()
@@ -303,5 +306,5 @@ def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_j
             for record in records:
                 out.write(record)
     finally:
-        _PINS.held = outer
+        _PINS.held, _PINS.literals = outer
     return status

@@ -259,14 +259,15 @@ def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) ->
 def l_cofinality(lam: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalInterval]:
     """Cofinality of lam as computed in L, as an interval of cardinals.
 
-    V=L pins it exactly; 0# makes every uncountable cardinal inaccessible in
-    L; without 0#, Jensen covering bounds it inside [cf lam, cf lam + aleph_1].
+    V=L pins it exactly, and a regular lam stays regular in L; 0# makes
+    every uncountable cardinal inaccessible in L; without 0#, Jensen
+    covering bounds it inside [cf lam, cf lam + aleph_1].
     """
     cf = cofinality(lam)
     if ctx.v_equals_l:
         return Determined(CardinalInterval(cf, cf), ("V=L",))
-    if lam == ALEPH0:
-        return Determined(CardinalInterval(ALEPH0, ALEPH0))
+    if cf == lam:
+        return Determined(CardinalInterval(lam, lam))
     if ctx.zero_sharp is ZeroSharp.EXISTS:
         return Determined(CardinalInterval(lam, lam), ("sharp",))
     if ctx.zero_sharp is ZeroSharp.NOT_EXISTS:

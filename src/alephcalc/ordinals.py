@@ -23,6 +23,7 @@ class Ordering(enum.Enum):
 
 class _Pins(threading.local):
     held: list | None = None
+    literals: dict | None = None  # in run_batch: dsl's aleph(...) memo for this thread
 
 
 _TABLE: dict[tuple, _Ref] = {}

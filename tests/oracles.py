@@ -9,10 +9,13 @@
   inspects the index structure directly.
 * The refinement order on record value text: when does one answer say at
   least as much as another (Cousot & Cousot, POPL 1977)?
+* The DSL scanner written one regex match at a time, which ``dsl._scan``
+  replaced with one ``findall``.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 from alephcalc import (
@@ -23,6 +26,7 @@ from alephcalc import (
     CnfOrdinal,
     successor,
 )
+from alephcalc.cardinals import IDENT
 from alephcalc.dsl import CardinalLiteral, ParseError, parse
 from alephcalc.ordinals import from_int
 
@@ -160,3 +164,25 @@ def refines(new: str, old: str) -> bool:
         lo, hi = ends
         return lo <= value <= hi if old[0] == "[" else value in (lo, hi)
     return False
+
+
+# --- the DSL scanner --------------------------------------------------------------
+
+_SCANNER = re.compile(
+    r"(?P<nat>\d+)|(?P<ident>" + IDENT.pattern + r")|(?P<symbol>>=|[-(){},;+*^=])|(?P<space>\s+)|(?P<bad>.)"
+)
+
+
+def reference_scan(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, start offset) of each token, ending in ``('eof', '', len(text))``.
+
+    A character no token can start raises the ``ParseError`` the DSL gives for it.
+    """
+    tokens = []
+    for m in _SCANNER.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos), ("a token",), repr(word))
+        if kind != "space":
+            tokens.append((word if kind == "symbol" else kind, word, pos))
+    return tokens + [("eof", "", len(text))]

@@ -24,7 +24,7 @@ from alephcalc import (
     parse,
     run_batch,
 )
-from alephcalc import ordinals
+from alephcalc import dsl, ordinals
 from alephcalc.dsl import (
     MAX_FOUND,
     MAX_NESTING,
@@ -45,6 +45,7 @@ from alephcalc.hypotheses import AtLeast, ExplicitSet, UnboundedBelow
 from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, cnf_add, from_int, omega_power
 
 from conftest import random_statement
+from oracles import reference_scan
 
 A_W1 = aleph(cnf_add(OMEGA, ORD_ONE))
 GOLDEN_LINES = [
@@ -443,6 +444,21 @@ class TestBatch:
         assert 0 < max(held) <= 8
         assert any(later < earlier for earlier, later in zip(held, held[1:]))
 
+    def test_a_cached_literal_does_not_answer_for_a_different_token_split(self):
+        lines = ["aleph(10)", "aleph(1 0)", "cf(aleph(w*2+1))", "cf(aleph(w*2 +1))", "cf(aleph(w * 21))"]
+        _check_against_reference(lines, EMPTY_CONTEXT)
+        _, out = self._run("\n".join(lines))
+        assert [json.loads(r)["verdict"] for r in out.splitlines()] == ["determined", "error"] + ["determined"] * 3
+
+    def test_a_cached_literal_keeps_the_nesting_bound(self):
+        literal = "aleph(aleph(w+1))"  # two levels, cached first at depth 0
+        levels = (63, 64, 65, 64, 65, 63)
+        lines = [literal] + ["f(" * (n - 2) + literal + ")" * (n - 2) for n in levels]
+        _check_against_reference(lines, EMPTY_CONTEXT)
+        _, out = self._run("\n".join(lines))
+        nesting_errors = [f"at most {MAX_NESTING} levels of nesting" in r for r in out.splitlines()]
+        assert nesting_errors == [False] + [n > MAX_NESTING for n in levels]
+
 
 BATCH_ASSUMES = ["assume GCH", "assume V=L", "assume sharp", "assume no-sharp", "assume SCH(aleph(1), >= aleph(2))"]
 BATCH_BAD_LINES = ["cf(", "cf(oops", "nope(aleph(1))", "two_lt(aleph(1), aleph(2))", "succ(inacc(theta))", "@"]
@@ -649,3 +665,34 @@ def test_positions_match_a_character_count(text):
                 assert pos == len(text)
             else:
                 assert text.startswith(err.found.removesuffix("..."), pos) or err.found == repr(text[pos])
+
+
+SCANNER_TEXT = st.lists(
+    st.sampled_from(list("()[]{},;+*^=->_ 019wWaleph\t\n\r\u0663\u00b2\u2265\u00e9\u2003") + [">="]),
+    max_size=40,
+).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.one_of(SCANNER_TEXT, st.text(), mutated_golden_lines()))
+@example("aleph(\u0663)")  # a Unicode decimal digit is a nat
+@example(SUPERSCRIPT_DIGIT)  # isdigit() but not isdecimal(): an identifier
+@example("SCH(aleph(1), > aleph(2))")
+@example("SCH(aleph(1),\t>=\naleph(2)) >")
+@example("aleph(1) \u2265 aleph(0)")
+def test_the_scanner_matches_the_reference(text):
+    """``_scan``, ``tokenize`` and a scanning error agree with the match-at-a-time scanner."""
+    def outcome(read):
+        try:
+            return read()
+        except ParseError as err:
+            return err.line, err.col, err.expected, err.found
+
+    expected = outcome(lambda: reference_scan(text))
+    got_scan = outcome(lambda: dsl._scan(text))
+    got_tokens = outcome(lambda: [(t.kind, t.text, t.line, t.col) for t in tokenize(text)])
+    if isinstance(expected, tuple):
+        assert got_scan == got_tokens == expected
+    else:
+        assert got_scan == ([kind for kind, _, _ in expected], [word for _, word, _ in expected])
+        assert got_tokens == [(kind, word, *_line_col(text, pos)) for kind, word, pos in expected]

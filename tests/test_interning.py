@@ -29,6 +29,7 @@ from alephcalc.ordinals import (
 )
 
 from conftest import alephs, cnf_ordinals
+from test_dsl import _check_against_reference
 
 
 def rebuild(x: CnfOrdinal) -> CnfOrdinal:
@@ -185,6 +186,75 @@ def test_values_built_in_another_thread_during_a_batch_are_not_pinned():
 
     run_batch(fresh_lines(8_500_000, 3), EMPTY_CONTEXT, Stream(build_elsewhere), as_json=True)
     assert seen == [(None, True), (0, 0)]
+
+
+def test_a_batch_drops_its_literal_table_on_return_and_on_error():
+    lines = fresh_lines(8_600_000, 5)
+    tables = []
+    out = Stream(lambda: tables.append(ordinals._PINS.literals))
+    assert run_batch(lines + lines[::-1], EMPTY_CONTEXT, out, as_json=True) == 0
+    assert len(tables) == 10 and all(table is tables[0] for table in tables) and len(tables[0]) == 5
+    assert ordinals._PINS.literals is None
+
+    def fail_on_the_third_record():
+        if len(out.records) == 2:
+            raise OSError("no space left on the output")
+
+    out = Stream(fail_on_the_third_record)
+    with pytest.raises(OSError, match="no space"):
+        run_batch(lines, EMPTY_CONTEXT, out, as_json=True)
+    assert ordinals._PINS.literals is None
+    _check_against_reference(lines + lines[::-1], EMPTY_CONTEXT)
+
+
+def test_a_nested_batch_restores_the_outer_literal_table():
+    seen = []
+
+    def nest():
+        if not seen:
+            outer = ordinals._PINS.literals
+            inner = Stream(lambda: seen.append(ordinals._PINS.literals))
+            run_batch(fresh_lines(8_700_000, 3), EMPTY_CONTEXT, inner, as_json=True)
+            seen.extend([outer, ordinals._PINS.literals])
+
+    lines = fresh_lines(8_800_000, 3)
+    out = Stream(nest)
+    run_batch(lines, EMPTY_CONTEXT, out, as_json=True)
+    inner_table, outer, restored = seen[0], seen[-2], seen[-1]
+    assert len(seen) == 5 and all(table is inner_table for table in seen[:3]) and len(inner_table) == 3
+    assert restored is outer and isinstance(outer, dict) and len(outer) == 3
+    assert len(out.records) == 3 and ordinals._PINS.literals is None
+    _check_against_reference(lines, EMPTY_CONTEXT)
+
+
+def test_another_thread_parses_without_the_batch_literal_table():
+    seen = []
+
+    def parse_elsewhere():
+        if seen:
+            return
+        table = ordinals._PINS.literals
+        size = len(table)
+
+        def read():
+            return ordinals._PINS.literals, parse("succ(aleph(w*9100000+1))")
+
+        with ThreadPoolExecutor(1) as pool:
+            other_table, _ = pool.submit(read).result(timeout=60)
+        seen.extend([other_table, len(table) - size])
+
+    lines = fresh_lines(9_100_000, 3)
+    run_batch(lines, EMPTY_CONTEXT, Stream(parse_elsewhere), as_json=True)
+    assert seen == [None, 0]
+    _check_against_reference(lines, EMPTY_CONTEXT)
+
+
+def test_the_literal_table_stops_at_its_cap():
+    lines = [f"cf(aleph({i}))" for i in range(4_200)] + [f"succ(aleph({i}))" for i in (0, 4_095, 4_096, 4_199)]
+    sizes = []
+    run_batch(lines, EMPTY_CONTEXT, Stream(lambda: sizes.append(len(ordinals._PINS.literals))), as_json=True)
+    assert sizes[4_095] == 4_096 and max(sizes) == sizes[-1] == 4_096
+    _check_against_reference(lines, EMPTY_CONTEXT)
 
 
 def test_a_rejected_value_leaves_no_entry():

@@ -8,7 +8,10 @@ Each relation compares records of the same line under related contexts
 * (b) monotonicity: extending a context keeps a ``determined`` record
   ``determined``, and its new value refines the old one;
 * (c) error stability: whether a line is an ``error``, and its note, do not
-  depend on the context.
+  depend on the context;
+* (d) the 0# case split: ZFC proves that 0# exists or does not, so under a
+  context that leaves 0# open, a line ``determined`` with the same value
+  under both ``sharp`` and ``no-sharp`` is ``determined`` with that value.
 
 The queries are ``conftest.random_statement`` queries on a fixed seed, plus
 lines that once broke (b) or (c).
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from alephcalc import EMPTY_CONTEXT, HypothesisContext
+from alephcalc import EMPTY_CONTEXT, HypothesisContext, ZeroSharp
 from alephcalc.dsl import Query, format_statement, parse_assumptions
 from alephcalc.evaluator import QueryResult, apply_assumption, evaluate_line
 
@@ -130,4 +133,20 @@ def test_error_stability():
             outcomes[spec] = rec.notes if rec.verdict == "error" else None
         if len(set(outcomes.values())) > 1:
             violations.append(f"{line}: {outcomes}")
+    assert not violations, _report(violations)
+
+
+def test_zero_sharp_case_split():
+    violations = []
+    for spec in CONTEXTS:
+        if context(spec).zero_sharp is not ZeroSharp.UNKNOWN:
+            continue
+        for line in QUERIES:
+            sharp, no_sharp = (record(f"{spec}, {flag}" if spec else flag, line) for flag in ("sharp", "no-sharp"))
+            if not (sharp.verdict == no_sharp.verdict == "determined" and sharp.value == no_sharp.value):
+                continue
+            rec = record(spec, line)
+            if (rec.verdict, rec.value) != ("determined", sharp.value):
+                violations.append(f"{line} under [{spec}]: {rec.verdict} {rec.value} {rec.notes}, "
+                                  f"but {sharp.value} under both sharp and no-sharp")
     assert not violations, _report(violations)
