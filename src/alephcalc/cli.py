@@ -1,11 +1,14 @@
 """Command-line interface: one-shot eval, REPL, and batch processing.
 
-Exit codes: 0 success, 1 query error, 2 usage error.
+Exit codes: 0 success, 1 query error, 2 usage error (also an unreadable or
+non-UTF-8 batch file), 141 when the reader closes standard output early, as
+in ``alephcalc batch FILE | head -1``; nothing is printed to stderr then.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -78,7 +81,7 @@ def _cmd_batch(args, parser) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         parser.error(f"cannot read {args.file}: {err}")
         raise AssertionError("unreachable")
     return run_batch(lines, ctx, sys.stdout, as_json=args.json)
@@ -113,7 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except BrokenPipeError:
+        # Later writes, and the interpreter's flush at exit, go to devnull instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status a shell reports when SIGPIPE ends a writer
 
 
 if __name__ == "__main__":

@@ -37,8 +37,7 @@ from typing import Callable, NamedTuple, TypeVar, Union
 
 from .cardinals import ALEPH0, IDENT, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
-from .ordinals import (OMEGA, ORD_ONE, ORD_ZERO, _PINS, CnfOrdinal, Ordering, _Record, _set, cnf_sum, from_int,
-                       omega_power)
+from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, _Record, _set, cnf_sum, from_int, omega_power
 
 # Deeper input would exhaust the interpreter's stack in the engine or the
 # formatter; a probe found both safe to about 160 levels of w^.
@@ -198,12 +197,12 @@ def _closer(kinds: list[str], i: int) -> int | None:
 class _Parser:
     """Reads the scanner's lists by index; ``pos`` is the index of the next token."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, literals: dict[str, tuple[Aleph, int]] | None = None):
         self.text = text
         self.kinds, self.texts = _scan(text)
         self.pos = 0
         self.depth = 0
-        self.literals: dict[str, tuple[Aleph, int]] | None = _PINS.literals
+        self.literals = literals
 
     def fail(self, *expected: str, at: int | None = None) -> ParseError:
         i = self.pos if at is None else at
@@ -392,7 +391,7 @@ class _Parser:
             return Aleph(None, OMEGA)
         if text != "aleph":  # aleph_N
             return Aleph(None, from_int(self.nat(i, len("aleph_"))))
-        # In run_batch, literals maps an aleph(...)'s token texts, joined by ' ' so that "1 0" is not
+        # If given, literals maps an aleph(...)'s token texts, joined by ' ' so that "1 0" is not
         # "10", to its value and the deepest depth it parsed at, for 4,096 literals at most.  As in a
         # packrat parser (Ford, ICFP 2002), a hit skips the parse: a literal parses alike at any depth
         # up to one it parsed at, since the only depth check, in nested(), is monotone.
@@ -418,8 +417,10 @@ class _Parser:
         return value
 
 
-def parse(text: str) -> Ast:
-    return _Parser(text).session()
+def parse(text: str, literals: dict[str, tuple[Aleph, int]] | None = None) -> Ast:
+    """The AST of ``text``.  ``literals`` is a table the caller keeps across calls, empty at first:
+    each call reuses the aleph(...) values earlier calls put there, with the result of a plain parse."""
+    return _Parser(text, literals).session()
 
 
 def parse_assumptions(text: str) -> tuple[Assumption, ...]:

@@ -47,7 +47,7 @@ from .hypotheses import (
     extend_context,
     l_cofinality,
 )
-from .ordinals import _PINS, _Record, _set
+from .ordinals import _Record, _set
 
 
 class QueryError(Exception):
@@ -256,10 +256,11 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
     return [handler(name, ctx, *args)], ctx
 
 
-def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult], HypothesisContext]:
-    """Parse and evaluate, converting all engine errors into error records."""
+def evaluate_line(text: str, ctx: HypothesisContext,
+                  literals: dict | None = None) -> tuple[list[QueryResult], HypothesisContext]:
+    """Parse (with ``parse``'s ``literals``) and evaluate, converting all engine errors into error records."""
     try:
-        ast = parse(text)
+        ast = parse(text, literals)
     except ParseError as err:
         return [QueryResult(text.strip(), "error", None, (), (f"error: {err}",))], ctx
     try:
@@ -274,37 +275,32 @@ def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult],
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
-    A repeated line is evaluated once per context, a repeated aleph(...) literal is parsed once, and
-    the values the lines build live until the call returns.  Returns the exit status: nonzero iff
-    any line produced an error record.
+    A repeated line is evaluated once per context, and a repeated aleph(...) literal is parsed once
+    and its value kept alive until the call returns.  Returns the exit status: nonzero iff any line
+    produced an error record.
     """
     status = 0
     # Stripped line -> (its rendered records, whether one is an error) under ctx.  A context never
     # comes back once left, so clearing on every change of ctx is the same as keying on (line, ctx).
-    # 4,096 lines bound the memo.  Until return, _PINS keeps the values built alive, 4,096 at most,
-    # and holds the parser's table of aleph(...) literals.
+    # 4,096 lines bound the memo.  literals is the parser's table of aleph(...) values for this call.
     memo: dict[str, tuple[tuple[str, ...], bool]] = {}
-    outer = _PINS.held, _PINS.literals
-    _PINS.held, _PINS.literals = [], {}
-    try:
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            hit = memo.get(line)
-            if hit is None:
-                results, new_ctx = evaluate_line(line, ctx)
-                hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
-                       any(r.verdict == "error" for r in results))
-                if new_ctx is ctx and len(memo) < 4096:
-                    memo[line] = hit
-                else:
-                    memo.clear()
-                ctx = new_ctx
-            records, error = hit
-            status |= error
-            for record in records:
-                out.write(record)
-    finally:
-        _PINS.held, _PINS.literals = outer
+    literals: dict = {}
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        hit = memo.get(line)
+        if hit is None:
+            results, new_ctx = evaluate_line(line, ctx, literals)
+            hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
+                   any(r.verdict == "error" for r in results))
+            if new_ctx is ctx and len(memo) < 4096:
+                memo[line] = hit
+            else:
+                memo.clear()
+            ctx = new_ctx
+        records, error = hit
+        status |= error
+        for record in records:
+            out.write(record)
     return status

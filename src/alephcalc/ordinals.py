@@ -21,15 +21,8 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-class _Pins(threading.local):
-    held: list | None = None
-    literals: dict | None = None  # in run_batch: dsl's aleph(...) memo for this thread
-
-
 _TABLE: dict[tuple, _Ref] = {}
 _LOCK = threading.Lock()
-_PINS = _Pins()  # in run_batch: what the table built for this thread, so it outlives each line
-_PIN_LIMIT = 4096
 # Writes a field of a record; only constructors call it.
 _set = object.__setattr__
 
@@ -40,7 +33,7 @@ class _Ref(weakref.ref):
 
 def _interned(cls, fields: tuple, check: bool):
     """Hash-consing: the one live ``cls`` object with these field values.  A miss
-    builds it, runs ``_check`` if asked, publishes a weak reference and pins it."""
+    builds it, runs ``_check`` if asked and publishes a weak reference."""
     key = (cls, *fields)
     obj = (ref := _TABLE.get(key)) and ref()
     if obj is not None:
@@ -57,10 +50,6 @@ def _interned(cls, fields: tuple, check: bool):
             return found
         ref = _TABLE[key] = _Ref(obj, _forget)
         ref.key = key
-    if (held := _PINS.held) is not None:
-        if len(held) >= _PIN_LIMIT:
-            held.clear()
-        held.append(obj)
     return obj
 
 

@@ -93,6 +93,25 @@ class TestBatch:
     def test_missing_file_is_usage_error(self):
         assert run_cli("batch", "/nonexistent/x.acq").returncode == 2
 
+    def test_a_file_that_is_not_utf8_is_a_usage_error(self, tmp_path):
+        script = tmp_path / "latin.acq"
+        script.write_bytes(b"cf(aleph(1))\n\xff\xfe\n")
+        out = run_cli("batch", str(script))
+        assert out.returncode == 2
+        assert out.stdout == "" and f"cannot read {script}: 'utf-8' codec can't decode" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path):
+        script = tmp_path / "big.acq"
+        script.write_text("".join(f"cf(aleph({i}))\n" for i in range(20_000)))  # far more than a pipe holds
+        proc = subprocess.Popen([sys.executable, "-m", "alephcalc", "batch", str(script), "--json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert json.loads(first)["value"] == "aleph(0)"
+        assert (proc.returncode, err) == (141, b"")
+
     def test_initial_assume_flag(self, tmp_path):
         script = tmp_path / "s.acq"
         script.write_text("two_lt(aleph(1))\n")

@@ -24,7 +24,7 @@ from alephcalc import (
     parse,
     run_batch,
 )
-from alephcalc import dsl, ordinals
+from alephcalc import dsl
 from alephcalc.dsl import (
     MAX_FOUND,
     MAX_NESTING,
@@ -430,20 +430,6 @@ class TestBatch:
         assert len({line.strip() for line in lines}) > 4096
         _check_against_reference(lines, EMPTY_CONTEXT)
 
-    def test_the_pins_restart_at_their_cap(self, monkeypatch):
-        monkeypatch.setattr(ordinals, "_PIN_LIMIT", 8)
-        lines = batch_session_lines(random.Random(15), [], 200)
-        _check_against_reference(lines, EMPTY_CONTEXT)
-        held = []
-
-        class Out:
-            def write(self, record):
-                held.append(len(ordinals._PINS.held))
-
-        run_batch(lines, EMPTY_CONTEXT, Out(), as_json=True)
-        assert 0 < max(held) <= 8
-        assert any(later < earlier for earlier, later in zip(held, held[1:]))
-
     def test_a_cached_literal_does_not_answer_for_a_different_token_split(self):
         lines = ["aleph(10)", "aleph(1 0)", "cf(aleph(w*2+1))", "cf(aleph(w*2 +1))", "cf(aleph(w * 21))"]
         _check_against_reference(lines, EMPTY_CONTEXT)
@@ -696,3 +682,35 @@ def test_the_scanner_matches_the_reference(text):
     else:
         assert got_scan == ([kind for kind, _, _ in expected], [word for _, word, _ in expected])
         assert got_tokens == [(kind, word, *_line_col(text, pos)) for kind, word, pos in expected]
+
+
+# aleph(...) literals and the levels of nesting each opens.
+NESTED_LITERALS = [("aleph(1)", 1), ("aleph(aleph(w+1))", 2), ("aleph(aleph(w +1))", 2),
+                   ("aleph(w^(w+1)*2+aleph(3))", 3), ("aleph(inacc(theta))", 2)]
+
+
+@st.composite
+def wrapped_literals(draw):
+    """A literal alone, or inside queries that bring it to 60 to 66 levels of nesting."""
+    literal, levels = draw(st.sampled_from(NESTED_LITERALS))
+    wraps = draw(st.one_of(st.just(0), st.integers(min_value=60 - levels, max_value=66 - levels)))
+    return "f(" * wraps + literal + ")" * wraps
+
+
+def _parse_outcome(read):
+    try:
+        return repr(read())
+    except ParseError as err:
+        return str(err), err.line, err.col, err.expected, err.found
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.randoms(use_true_random=False).map(lambda rng: format_statement(random_statement(rng))),
+                          mutated_golden_lines(), wrapped_literals()), min_size=1, max_size=12))
+@example(["aleph(10)", "aleph(1 0)"])
+@example(["f(" * 62 + "aleph(aleph(w+1))" + ")" * 62, "aleph(aleph(w+1))", "f(" * 63 + "aleph(aleph(w+1))" + ")" * 63])
+def test_a_shared_literal_table_parses_as_a_plain_parse(texts):
+    """``parse`` with one table kept across the texts gives what ``parse`` gives without one."""
+    table = {}
+    for text in texts:
+        assert _parse_outcome(lambda: parse(text, table)) == _parse_outcome(lambda: parse(text))

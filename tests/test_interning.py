@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alephcalc import EMPTY_CONTEXT, ordinals, run_batch
+from alephcalc import EMPTY_CONTEXT, dsl, evaluate_line, ordinals, run_batch
 from alephcalc.cardinals import ALEPH1, ALEPH2, Aleph, CardinalAtom, card_compare, card_index_classify, successor
 from alephcalc.dsl import ParseError, parse, tokenize
 from alephcalc.ordinals import (
@@ -117,53 +117,100 @@ def fresh_lines(offset: int, count: int = 40) -> list[str]:
     return [f"succ(aleph(w*{offset + i}+{i + 1}))" for i in range(count)]
 
 
-def test_a_batch_keeps_the_values_it_builds_until_it_returns():
+def reference_records(lines: list[str]) -> list[str]:
+    """The JSON records of evaluating each line afresh."""
+    ctx, records = EMPTY_CONTEXT, []
+    for line in lines:
+        results, ctx = evaluate_line(line, ctx)
+        records += [r.to_json_line() + "\n" for r in results]
+    return records
+
+
+def live_literal(offset: int, i: int) -> Aleph | None:
+    """The live value of the literal on line ``i`` of ``fresh_lines(offset)``, looked up without building it."""
+    ref = ordinals._TABLE.get((CnfOrdinal, ((ORD_ONE, offset + i), (ORD_ZERO, i + 1))))
+    tail = ref and ref()
+    ref = tail and ordinals._TABLE.get((Aleph, None, tail))
+    return ref and ref()
+
+
+def live_literals(offset: int, count: int = 40) -> int:
+    gc.collect()
+    return sum(live_literal(offset, i) is not None for i in range(count))
+
+
+def count_index_exprs(monkeypatch) -> list[int]:
+    """The threads of the ``_Parser.index_expr`` calls made from now on, in order."""
+    calls, index_expr = [], dsl._Parser.index_expr
+
+    def counted(parser):
+        calls.append(threading.get_ident())
+        return index_expr(parser)
+
+    monkeypatch.setattr(dsl._Parser, "index_expr", counted)
+    return calls
+
+
+def per_record(marks: list[int]) -> list[int]:
+    """The counts between successive marks, from a mark of 0 before the first."""
+    return [b - a for a, b in zip([0] + marks, marks)]
+
+
+def test_a_batch_keeps_the_literals_it_parses_until_it_returns():
     gc.collect()
     before = len(ordinals._TABLE)
-    held, alive = [], []
-    out = Stream(lambda: (held.append(len(ordinals._PINS.held)), alive.append(len(ordinals._TABLE))))
+    live = []
+    out = Stream(lambda: live.append(live_literals(8_100_000)))
     assert run_batch(fresh_lines(8_100_000), EMPTY_CONTEXT, out, as_json=True) == 0
-    assert len(out.records) == 40
-    assert held == sorted(held) and held[0] > 0 and held[-1] >= 40 * 3
-    assert alive[-1] >= before + 40 * 3  # the first line's values outlive it
-    assert ordinals._PINS.held is None
+    assert live == list(range(1, 41))  # at each record, every literal parsed so far
     gc.collect()
+    assert live_literals(8_100_000) == 0
     assert len(ordinals._TABLE) == before
 
 
 def test_a_batch_that_raises_midway_drops_its_values():
     gc.collect()
     before = len(ordinals._TABLE)
+    live = []
 
     def fail_on_the_fifth_record():
         if len(out.records) == 4:
+            live.append(live_literals(8_200_000))
             raise OSError("no space left on the output")
 
     out = Stream(fail_on_the_fifth_record)
     with pytest.raises(OSError, match="no space"):
         run_batch(fresh_lines(8_200_000), EMPTY_CONTEXT, out, as_json=False)
-    assert len(out.records) == 4
-    assert ordinals._PINS.held is None
+    assert len(out.records) == 4 and live == [5]
     gc.collect()
     assert len(ordinals._TABLE) == before
 
 
-def test_a_nested_batch_restores_the_outer_pins():
-    seen = []
+def test_a_nested_batch_keeps_its_own_literal_table(monkeypatch):
+    lines = fresh_lines(8_800_000, 3)
+    lines += [line.replace("succ", "cf") for line in lines]  # the same literals again
+    inner_lines = [lines[3], lines[0]] + fresh_lines(8_700_000, 2)
+    calls = count_index_exprs(monkeypatch)
+    marks, nested = [], []
 
     def nest():
-        if not seen:
-            outer = ordinals._PINS.held
-            inner = Stream(lambda: seen.append(ordinals._PINS.held))
-            run_batch(fresh_lines(8_300_000, 3), EMPTY_CONTEXT, inner, as_json=True)
-            seen.extend([outer, ordinals._PINS.held])
+        marks.append(len(calls))
+        if not nested:
+            inner = io.StringIO()
+            assert run_batch(inner_lines, EMPTY_CONTEXT, inner, as_json=True) == 0
+            nested.extend([len(calls) - marks[0], inner.getvalue()])
 
     out = Stream(nest)
-    run_batch(fresh_lines(8_400_000, 3), EMPTY_CONTEXT, out, as_json=True)
-    inner_pins, outer, restored = seen[0], seen[-2], seen[-1]
-    assert len(seen) == 5 and all(pins is inner_pins for pins in seen[:3])
-    assert inner_pins is not outer and restored is outer and isinstance(outer, list)
-    assert len(out.records) == 3 and ordinals._PINS.held is None
+    assert run_batch(lines, EMPTY_CONTEXT, out, as_json=True) == 0
+    # Two calls parse a line afresh, one reuses its literal.  The inner batch parses the literal
+    # the outer one already holds afresh, and the outer batch still reuses it afterwards.
+    inner_calls, inner_output = nested
+    assert inner_calls == 2 + 1 + 2 + 2
+    outer_calls = per_record(marks)
+    outer_calls[1] -= inner_calls
+    assert outer_calls == [2, 2, 2, 1, 1, 1]
+    assert inner_output == "".join(reference_records(inner_lines))
+    assert "".join(out.records) == "".join(reference_records(lines))
 
 
 def test_values_built_in_another_thread_during_a_batch_are_not_pinned():
@@ -173,87 +220,76 @@ def test_values_built_in_another_thread_during_a_batch_are_not_pinned():
         if seen:
             return
         gc.collect()
-        before, pins = len(ordinals._TABLE), len(ordinals._PINS.held)
+        before = len(ordinals._TABLE)
 
         def build():
             values = [Aleph(ALEPH1, from_int(9_100_000 + i)) for i in range(100)]
-            return ordinals._PINS.held, len(ordinals._TABLE) - before >= 200
+            return len(ordinals._TABLE) - before >= 200
 
         with ThreadPoolExecutor(1) as pool:
             seen.append(pool.submit(build).result(timeout=60))
         gc.collect()
-        seen.append((len(ordinals._TABLE) - before, len(ordinals._PINS.held) - pins))
+        seen.append(len(ordinals._TABLE) - before)
 
     run_batch(fresh_lines(8_500_000, 3), EMPTY_CONTEXT, Stream(build_elsewhere), as_json=True)
-    assert seen == [(None, True), (0, 0)]
+    assert seen == [True, 0]
 
 
-def test_a_batch_drops_its_literal_table_on_return_and_on_error():
+def test_a_batch_drops_its_literal_table_on_return_and_on_error(monkeypatch):
     lines = fresh_lines(8_600_000, 5)
-    tables = []
-    out = Stream(lambda: tables.append(ordinals._PINS.literals))
-    assert run_batch(lines + lines[::-1], EMPTY_CONTEXT, out, as_json=True) == 0
-    assert len(tables) == 10 and all(table is tables[0] for table in tables) and len(tables[0]) == 5
-    assert ordinals._PINS.literals is None
+    lines += [line.replace("succ", "cf") for line in lines]
+    gc.collect()
+    before = len(ordinals._TABLE)
+    calls = count_index_exprs(monkeypatch)
+    for _ in range(2):  # the second batch starts with an empty table again
+        marks = []
+        out = Stream(lambda: marks.append(len(calls)))
+        assert run_batch(lines, EMPTY_CONTEXT, out, as_json=True) == 0
+        assert per_record(marks) == [2] * 5 + [1] * 5
+        calls.clear()
+        gc.collect()
+        assert len(ordinals._TABLE) == before
 
-    def fail_on_the_third_record():
-        if len(out.records) == 2:
+    def fail_on_the_seventh_record():
+        if len(out.records) == 6:
             raise OSError("no space left on the output")
 
-    out = Stream(fail_on_the_third_record)
+    out = Stream(fail_on_the_seventh_record)
     with pytest.raises(OSError, match="no space"):
         run_batch(lines, EMPTY_CONTEXT, out, as_json=True)
-    assert ordinals._PINS.literals is None
-    _check_against_reference(lines + lines[::-1], EMPTY_CONTEXT)
-
-
-def test_a_nested_batch_restores_the_outer_literal_table():
-    seen = []
-
-    def nest():
-        if not seen:
-            outer = ordinals._PINS.literals
-            inner = Stream(lambda: seen.append(ordinals._PINS.literals))
-            run_batch(fresh_lines(8_700_000, 3), EMPTY_CONTEXT, inner, as_json=True)
-            seen.extend([outer, ordinals._PINS.literals])
-
-    lines = fresh_lines(8_800_000, 3)
-    out = Stream(nest)
-    run_batch(lines, EMPTY_CONTEXT, out, as_json=True)
-    inner_table, outer, restored = seen[0], seen[-2], seen[-1]
-    assert len(seen) == 5 and all(table is inner_table for table in seen[:3]) and len(inner_table) == 3
-    assert restored is outer and isinstance(outer, dict) and len(outer) == 3
-    assert len(out.records) == 3 and ordinals._PINS.literals is None
+    gc.collect()
+    assert len(ordinals._TABLE) == before
     _check_against_reference(lines, EMPTY_CONTEXT)
 
 
-def test_another_thread_parses_without_the_batch_literal_table():
+def test_another_thread_parses_without_the_batch_literal_table(monkeypatch):
+    line = "succ(aleph(w*9100000+1))"  # the first batch line, whose literal the batch holds
+    calls = count_index_exprs(monkeypatch)
     seen = []
 
     def parse_elsewhere():
         if seen:
             return
-        table = ordinals._PINS.literals
-        size = len(table)
 
         def read():
-            return ordinals._PINS.literals, parse("succ(aleph(w*9100000+1))")
+            return threading.get_ident(), parse(line)
 
         with ThreadPoolExecutor(1) as pool:
-            other_table, _ = pool.submit(read).result(timeout=60)
-        seen.extend([other_table, len(table) - size])
+            ident, ast = pool.submit(read).result(timeout=60)
+        seen.extend([calls.count(ident), ast])
 
     lines = fresh_lines(9_100_000, 3)
     run_batch(lines, EMPTY_CONTEXT, Stream(parse_elsewhere), as_json=True)
-    assert seen == [None, 0]
+    assert seen == [2, parse(line)]
     _check_against_reference(lines, EMPTY_CONTEXT)
 
 
-def test_the_literal_table_stops_at_its_cap():
+def test_the_literal_table_stops_at_its_cap(monkeypatch):
     lines = [f"cf(aleph({i}))" for i in range(4_200)] + [f"succ(aleph({i}))" for i in (0, 4_095, 4_096, 4_199)]
-    sizes = []
-    run_batch(lines, EMPTY_CONTEXT, Stream(lambda: sizes.append(len(ordinals._PINS.literals))), as_json=True)
-    assert sizes[4_095] == 4_096 and max(sizes) == sizes[-1] == 4_096
+    calls = count_index_exprs(monkeypatch)
+    marks = []
+    run_batch(lines, EMPTY_CONTEXT, Stream(lambda: marks.append(len(calls))), as_json=True)
+    assert per_record(marks) == [2] * 4_200 + [1, 1, 2, 2]
     _check_against_reference(lines, EMPTY_CONTEXT)
 
 
