@@ -186,7 +186,7 @@ def test_a_batch_that_raises_midway_drops_its_values():
     assert len(ordinals._TABLE) == before
 
 
-def test_a_nested_batch_keeps_its_own_literal_table(monkeypatch):
+def test_a_nested_batch_restores_the_outer_literal_table(monkeypatch):
     lines = fresh_lines(8_800_000, 3)
     lines += [line.replace("succ", "cf") for line in lines]  # the same literals again
     inner_lines = [lines[3], lines[0]] + fresh_lines(8_700_000, 2)
@@ -211,6 +211,26 @@ def test_a_nested_batch_keeps_its_own_literal_table(monkeypatch):
     assert outer_calls == [2, 2, 2, 1, 1, 1]
     assert inner_output == "".join(reference_records(inner_lines))
     assert "".join(out.records) == "".join(reference_records(lines))
+
+
+def test_a_nested_batch_restores_the_outer_pins():
+    inner_live, outer_live = [], []
+
+    def nest():
+        outer_live.append(live_literals(8_400_000, 3))
+        if len(outer_live) == 1:
+            inner = Stream(lambda: inner_live.append((live_literals(8_300_000, 3), live_literals(8_400_000, 3))))
+            assert run_batch(fresh_lines(8_300_000, 3), EMPTY_CONTEXT, inner, as_json=True) == 0
+            inner_live.append((live_literals(8_300_000, 3), live_literals(8_400_000, 3)))
+
+    out = Stream(nest)
+    assert run_batch(fresh_lines(8_400_000, 3), EMPTY_CONTEXT, out, as_json=True) == 0
+    # The inner batch keeps its own literals alive until it returns, and the outer batch's
+    # literals stay alive across it.
+    assert inner_live == [(1, 1), (2, 1), (3, 1), (0, 1)]
+    assert outer_live == [1, 2, 3]
+    assert live_literals(8_400_000, 3) == 0
+    assert "".join(out.records) == "".join(reference_records(fresh_lines(8_400_000, 3)))
 
 
 def test_values_built_in_another_thread_during_a_batch_are_not_pinned():
