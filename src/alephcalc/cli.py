@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .dsl import ParseError, parse_assumptions
 from .evaluator import apply_assumption, evaluate_line, run_batch
-from .hypotheses import EMPTY_CONTEXT, HypothesisContext
+from .hypotheses import EMPTY_CONTEXT
 
 _ASSUME_HELP = (
     "comma list of DSL assumptions: GCH, V=L, sharp, no-sharp or SCH(mu, scope), "
@@ -22,37 +22,14 @@ _ASSUME_HELP = (
 )
 
 
-def _context_from_flags(spec: str | None, parser: argparse.ArgumentParser) -> HypothesisContext:
-    ctx = EMPTY_CONTEXT
-    if spec:
-        try:
-            for item in parse_assumptions(spec):
-                ctx = apply_assumption(ctx, item)
-        except (ParseError, ValueError) as err:
-            parser.error(f"--assume: {err}")
-    return ctx
-
-
-def _emit(results, as_json: bool, out) -> int:
-    status = 0
-    for result in results:
-        if result.verdict == "error":
-            status = 1
-        if as_json:
-            out.write(result.to_json_line() + "\n")
-        else:
-            out.write(result.pretty() + "\n")
-    return status
-
-
-def _cmd_eval(args, parser) -> int:
-    ctx = _context_from_flags(args.assume, parser)
+def _cmd_eval(args, ctx, parser) -> int:
     results, _ = evaluate_line(args.expr, ctx)
-    return _emit(results, args.json, sys.stdout)
+    for result in results:
+        sys.stdout.write((result.to_json_line() if args.json else result.pretty()) + "\n")
+    return int(any(result.verdict == "error" for result in results))
 
 
-def _cmd_repl(args, parser) -> int:
-    ctx = _context_from_flags(args.assume, parser)
+def _cmd_repl(args, ctx, parser) -> int:
     print(f"alephcalc {__version__} — cardinal arithmetic under declared hypotheses")
     print("enter statements (e.g. 'assume GCH' or 'exp_lt(aleph(w), aleph(1))'); 'quit' to leave")
     while True:
@@ -76,8 +53,7 @@ def _cmd_repl(args, parser) -> int:
             print(result.pretty())
 
 
-def _cmd_batch(args, parser) -> int:
-    ctx = _context_from_flags(args.assume, parser)
+def _cmd_batch(args, ctx, parser) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -116,8 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    ctx = EMPTY_CONTEXT
+    if args.assume:
+        try:
+            for item in parse_assumptions(args.assume):
+                ctx = apply_assumption(ctx, item)
+        except (ParseError, ValueError) as err:
+            parser.error(f"--assume: {err}")
     try:
-        return args.func(args, parser)
+        return args.func(args, ctx, parser)
     except BrokenPipeError:
         # Later writes, and the interpreter's flush at exit, go to devnull instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -51,12 +51,17 @@ MAX_FOUND = 32
 T = TypeVar("T")
 
 
+def _clip(token: str) -> str:
+    """token as an error names it: at most MAX_FOUND characters, then '...' if it was longer."""
+    return token if len(token) <= MAX_FOUND else token[:MAX_FOUND] + "..."
+
+
 class ParseError(Exception):
     def __init__(self, line: int, col: int, expected: tuple[str, ...], found: str):
         self.line = line
         self.col = col
         self.expected = expected
-        self.found = found if len(found) <= MAX_FOUND else found[:MAX_FOUND] + "..."
+        self.found = _clip(found)
         want = ", ".join(expected)
         super().__init__(f"syntax error at line {line}, column {col}: expected {want}, found {self.found}")
 

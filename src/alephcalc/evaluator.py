@@ -14,6 +14,7 @@ from typing import Callable, Iterable, TextIO
 
 from . import arithmetic, sizes, spectra
 from .cardinals import (
+    Aleph,
     CardinalExpr,
     cofinality,
     initial_ordinal,
@@ -35,6 +36,7 @@ from .dsl import (
     ParseError,
     Query,
     Session,
+    _clip,
     format_statement,
     parse,
 )
@@ -133,10 +135,7 @@ def _from_verdict(name: str, v: Verdict | sizes.SizeVerdict | spectra.CountValue
 
 def _succ_str(c: CardinalExpr) -> str:
     # Successors of opaque atoms have no aleph notation; render them as text.
-    try:
-        return str(successor(c))
-    except ValueError:
-        return f"the successor of {c}"
+    return str(successor(c)) if isinstance(c, Aleph) else f"the successor of {c}"
 
 
 # --- queries -----------------------------------------------------------------
@@ -248,7 +247,7 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
     assert isinstance(ast, Query)
     entry = QUERIES.get(ast.name)
     if entry is None:
-        raise QueryError(f"unknown query name: {ast.name}")
+        raise QueryError(f"unknown query name: {_clip(ast.name)}")
     kinds, handler = entry
     if len(ast.args) != len(kinds):
         raise QueryError(f"{ast.name} takes {len(kinds)} argument(s), got {len(ast.args)}")
@@ -258,18 +257,20 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
 
 def evaluate_line(text: str, ctx: HypothesisContext,
                   literals: dict | None = None) -> tuple[list[QueryResult], HypothesisContext]:
-    """Parse (with ``parse``'s ``literals``) and evaluate, converting all engine errors into error records."""
+    """Parse (with ``parse``'s ``literals``) and evaluate ``text``, turning any exception into one error record.
+
+    A ``ParseError``, ``QueryError`` or ``ValueError`` gives an ``error:`` note, any other exception (a parser
+    or engine bug) an ``internal:`` one; the record's query is the stripped text if parsing failed."""
+    ast = None
     try:
         ast = parse(text, literals)
-    except ParseError as err:
-        return [QueryResult(text.strip(), "error", None, (), (f"error: {err}",))], ctx
-    try:
         return evaluate(ast, ctx)
-    except (QueryError, ValueError) as err:
+    except (ParseError, QueryError, ValueError) as err:
         note = f"error: {err}"
-    except Exception as err:  # an engine bug: one visible record, not a traceback
+    except Exception as err:  # a parser or engine bug: one visible record, not a traceback
         note = f"internal: {type(err).__name__}: {err}"
-    return [QueryResult(format_statement(ast), "error", None, (), (note,))], ctx
+    query = text.strip() if ast is None else format_statement(ast)
+    return [QueryResult(query, "error", None, (), (note,))], ctx
 
 
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:

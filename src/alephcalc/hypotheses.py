@@ -20,6 +20,7 @@ from typing import Generic, Iterable, TypeVar, Union
 from .cardinals import (
     ALEPH0,
     ALEPH1,
+    Aleph,
     CardinalExpr,
     SuccessorCard,
     card_compare,
@@ -28,6 +29,7 @@ from .cardinals import (
     cofinality,
     require_level,
     require_regular,
+    successor,
 )
 from .ordinals import Ordering, _Record, _set
 
@@ -203,15 +205,7 @@ def _scope_covers(a: SchAssumption, card: CardinalExpr) -> bool:
         return card in scope.cards
     # An unbounded-below-s scope pins a point only when s is a successor: the
     # sole unbounded set of cardinals below s has maximum pred(s).
-    kind = _classify_or_none(scope.limit)
-    return isinstance(kind, SuccessorCard) and kind.pred == card
-
-
-def _classify_or_none(c: CardinalExpr):
-    try:
-        return card_index_classify(c)
-    except ValueError:
-        return None
+    return isinstance(card, Aleph) and successor(card) == scope.limit
 
 
 def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict[bool]:

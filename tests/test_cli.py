@@ -56,6 +56,12 @@ class TestEval:
         assert run_cli("eval", "-e", "cf(aleph(0))", "--assume", "gch,").returncode == 2
         assert run_cli("eval", "-e", "cf(aleph(0))", "--assume", "SCH(aleph(w), >= aleph(w+1))").returncode == 2
 
+    def test_an_empty_assume_flag_means_no_assumptions(self):
+        for expr in ("two_lt(aleph(1))", "cf(oops"):
+            plain = run_cli("eval", "-e", expr, "--json")
+            empty = run_cli("eval", "-e", expr, "--json", "--assume", "")
+            assert (empty.returncode, empty.stdout) == (plain.returncode, plain.stdout)
+
     def test_version(self):
         out = run_cli("--version")
         assert out.returncode == 0
@@ -118,6 +124,13 @@ class TestBatch:
         out = run_cli("batch", str(script), "--json", "--assume", "gch")
         assert json.loads(out.stdout)["value"] == "aleph(1)"
 
+    def test_an_empty_assume_flag_means_no_assumptions(self, tmp_path):
+        script = tmp_path / "s.acq"
+        script.write_text("two_lt(aleph(1))\nassume GCH\ntwo_lt(aleph(1))\ncf(oops\n")
+        plain = run_cli("batch", str(script))
+        empty = run_cli("batch", str(script), "--assume", "")
+        assert (empty.returncode, empty.stdout) == (plain.returncode, plain.stdout)
+
     def test_byte_determinism(self, tmp_path):
         script = tmp_path / "s.acq"
         script.write_text(
@@ -135,6 +148,16 @@ class TestRepl:
         assert out.returncode == 0
         assert "= aleph(w+1)" in out.stdout
         assert "context: GCH" in out.stdout
+
+    def test_initial_assume_flag(self):
+        out = run_cli("repl", "--assume", "gch", input_text="two_lt(aleph(1))\nquit\n")
+        assert out.returncode == 0
+        assert "= aleph(1)   [via GCH]\n" in out.stdout
+
+    def test_a_bad_assume_flag_is_a_usage_error_before_the_banner(self):
+        out = run_cli("repl", "--assume", "gch,", input_text="quit\n")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "--assume: " in out.stderr
 
     def test_a_redundant_assumption_still_echoes_the_context(self):
         out = run_cli("repl", input_text="assume GCH\nassume GCH\nquit\n")

@@ -530,6 +530,16 @@ class TestFrontEndContract:
         assert len(note) < 200
         assert note.endswith(", found " + line[line.index("(") + 1:][:MAX_FOUND] + "...")
 
+    @pytest.mark.parametrize("length", [MAX_FOUND, MAX_FOUND + 1, 5000])
+    def test_a_long_unknown_query_name_gives_a_short_note(self, length):
+        line = "x" * length + "(1)"
+        results, ctx = evaluate_line(line, EMPTY_CONTEXT)
+        name = "x" * MAX_FOUND + ("..." if length > MAX_FOUND else "")
+        assert ctx is EMPTY_CONTEXT
+        assert [(r.query, r.verdict, r.notes) for r in results] == [
+            (line, "error", (f"error: unknown query name: {name}",))
+        ]
+
     def test_batch_keeps_going_past_a_deep_line(self):
         out = io.StringIO()
         status = run_batch(["cf(aleph(1))", DEEP_TOWER, "cf(aleph(2))"], EMPTY_CONTEXT, out, as_json=True)
@@ -557,6 +567,25 @@ class TestFrontEndContract:
             ("error", None), ("determined", "aleph(2)"), ("error", None), ("determined", "aleph(1)")
         ]
         assert records[2]["notes"] == ["internal: RuntimeError: broken handler"]
+
+    def test_a_parser_bug_is_one_internal_record(self, monkeypatch):
+        def broken(parser):
+            raise IndexError("boom")
+
+        monkeypatch.setattr(dsl._Parser, "session", broken)
+        results, ctx = evaluate_line("cf(aleph(1))", EMPTY_CONTEXT)
+        assert ctx is EMPTY_CONTEXT
+        assert [(r.query, r.verdict, r.value, r.notes) for r in results] == [
+            ("cf(aleph(1))", "error", None, ("internal: IndexError: boom",))
+        ]
+        out = io.StringIO()
+        status = run_batch(["  cf(aleph(1)) ", "assume GCH", "two_lt(aleph(1))"], EMPTY_CONTEXT, out, as_json=True)
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert status == 1
+        assert [(r["query"], r["verdict"], r["notes"]) for r in records] == [
+            (line, "error", ["internal: IndexError: boom"])
+            for line in ("cf(aleph(1))", "assume GCH", "two_lt(aleph(1))")
+        ]
 
     @pytest.mark.parametrize("kind", sorted(NESTERS))
     def test_nesting_bound(self, kind):
