@@ -15,6 +15,8 @@ consistently fail, so the engine models conditional theorems, not forcing.
 from __future__ import annotations
 
 import enum
+from itertools import groupby
+from operator import attrgetter
 from typing import Generic, Iterable, TypeVar, Union
 
 from .cardinals import (
@@ -212,21 +214,26 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
     """Does ctx entail that card is almost mu-closed?
 
     Determined(True) via GCH, a covering declared SCH instance at level
-    >= mu, or trivially for mu = aleph_0; never Determined(False).
+    >= mu, or trivially for mu = aleph_0; never Determined(False).  The
+    instances of one level are adjacent in ``ctx.sch``, so each distinct
+    level is compared with mu once; the first covering instance wins.
     """
     require_level(mu, card, what="card")
     if mu == ALEPH0:
         return Determined(True)
     if ctx.gch:
         return Determined(True, ("GCH",))
-    for a in ctx.sch:
-        if a.mu >= mu and _scope_covers(a, card):
-            return Determined(True, (a.describe(),))
+    for level, run in groupby(ctx.sch, attrgetter("mu")):
+        if level >= mu:
+            for a in run:
+                if _scope_covers(a, card):
+                    return Determined(True, (a.describe(),))
     return Independent((f"SCH({mu}) at {card}",))
 
 
 def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
-    """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?"""
+    """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?
+    At a limit lam it scans ``ctx.sch`` level by level as ``ctx_implies_sch`` does."""
     require_level(mu, lam)
     if mu == ALEPH0:
         return Determined(True)
@@ -239,14 +246,15 @@ def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) ->
         if kind.pred < mu:
             return Independent((f"SCH({mu}) below {lam}",))
         return ctx_implies_sch(ctx, mu, kind.pred)
-    for a in ctx.sch:
-        if a.mu < mu:
+    for level, run in groupby(ctx.sch, attrgetter("mu")):
+        if level < mu:
             continue
-        scope = a.scope
-        if isinstance(scope, UnboundedBelow) and scope.limit == lam:
-            return Determined(True, (a.describe(),))
-        if isinstance(scope, AtLeast) and card_max(scope.threshold, a.mu) < lam:
-            return Determined(True, (a.describe(),))
+        for a in run:
+            scope = a.scope
+            if isinstance(scope, UnboundedBelow) and scope.limit == lam:
+                return Determined(True, (a.describe(),))
+            if isinstance(scope, AtLeast) and card_max(scope.threshold, level) < lam:
+                return Determined(True, (a.describe(),))
     return Independent((f"SCH({mu}) below {lam}",))
 
 

@@ -11,6 +11,8 @@
   least as much as another (Cousot & Cousot, POPL 1977)?
 * The DSL scanner written one regex match at a time, which ``dsl._scan``
   replaced with one ``findall``.
+* The SCH lookups scanning every declared instance in turn, with no grouping
+  of the instances by level.
 """
 
 from __future__ import annotations
@@ -21,12 +23,21 @@ from itertools import product
 from alephcalc import (
     ALEPH0,
     Aleph,
+    AtLeast,
     CardinalAtom,
     CardinalExpr,
     CnfOrdinal,
+    Determined,
+    ExplicitSet,
+    HypothesisContext,
+    Independent,
+    SuccessorCard,
+    UnboundedBelow,
+    Verdict,
+    card_index_classify,
     successor,
 )
-from alephcalc.cardinals import IDENT
+from alephcalc.cardinals import IDENT, card_max, require_level
 from alephcalc.dsl import CardinalLiteral, ParseError, parse
 from alephcalc.ordinals import from_int
 
@@ -186,3 +197,51 @@ def reference_scan(text: str) -> list[tuple[str, str, int]]:
         if kind != "space":
             tokens.append((word if kind == "symbol" else kind, word, pos))
     return tokens + [("eof", "", len(text))]
+
+
+# --- SCH lookups ------------------------------------------------------------------
+
+
+def sch_scan_point(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict[bool]:
+    """``ctx_implies_sch``, comparing every instance's level with mu."""
+    require_level(mu, card, what="card")
+    if mu == ALEPH0:
+        return Determined(True)
+    if ctx.gch:
+        return Determined(True, ("GCH",))
+    for a in ctx.sch:
+        if a.mu < mu:
+            continue
+        scope = a.scope
+        if isinstance(scope, AtLeast):
+            covers = card >= card_max(scope.threshold, a.mu)
+        elif isinstance(scope, ExplicitSet):
+            covers = card in scope.cards
+        else:
+            covers = isinstance(card, Aleph) and successor(card) == scope.limit
+        if covers:
+            return Determined(True, (a.describe(),))
+    return Independent((f"SCH({mu}) at {card}",))
+
+
+def sch_scan_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
+    """``sch_holds_at``, comparing every instance's level with mu at a limit lam."""
+    require_level(mu, lam)
+    if mu == ALEPH0:
+        return Determined(True)
+    if ctx.gch:
+        return Determined(True, ("GCH",))
+    kind = card_index_classify(lam)
+    if isinstance(kind, SuccessorCard):
+        if kind.pred < mu:
+            return Independent((f"SCH({mu}) below {lam}",))
+        return sch_scan_point(ctx, mu, kind.pred)
+    for a in ctx.sch:
+        if a.mu < mu:
+            continue
+        scope = a.scope
+        if isinstance(scope, UnboundedBelow) and scope.limit == lam:
+            return Determined(True, (a.describe(),))
+        if isinstance(scope, AtLeast) and card_max(scope.threshold, a.mu) < lam:
+            return Determined(True, (a.describe(),))
+    return Independent((f"SCH({mu}) below {lam}",))

@@ -1,5 +1,7 @@
+from itertools import groupby
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alephcalc import (
@@ -8,6 +10,7 @@ from alephcalc import (
     ALEPH2,
     Aleph,
     AtLeast,
+    CardinalAtom,
     CardinalInterval,
     Determined,
     EMPTY_CONTEXT,
@@ -24,12 +27,14 @@ from alephcalc import (
     extend_context,
     l_cofinality,
     sch_holds_at,
+    successor,
 )
 from alephcalc.arithmetic import two_lt
 from alephcalc.hypotheses import HypothesisContext, is_true
 from alephcalc.ordinals import OMEGA, cnf_add, from_int
 
 from conftest import alephs
+from oracles import sch_scan_below, sch_scan_point
 
 A_W = aleph(OMEGA)
 A_W1 = aleph(cnf_add(OMEGA, from_int(1)))
@@ -272,3 +277,86 @@ def test_contexts_are_equal_whatever_the_order_of_their_sch_instances(order, rep
     assert ctx == canon
     assert hash(ctx) == hash(canon)
     assert ctx.describe() == canon.describe()
+
+
+# --- SCH lookups scan the instances of one level together -----------------------
+
+# Regular levels; as text, aleph(10) sorts between aleph(1) and aleph(2).
+_DEEP = Aleph(Aleph(ALEPH1))
+_LEVELS = (ALEPH1, ALEPH2, aleph(10), A_W1, successor(_DEEP), CardinalAtom("theta", weakly_inaccessible=True))
+# The points asked about add two singular limits to the levels.
+_POINTS = _LEVELS + (A_W, _DEEP)
+
+
+@st.composite
+def _sch_instances(draw):
+    mu = draw(st.sampled_from(_LEVELS))
+    kind = draw(st.sampled_from((AtLeast, UnboundedBelow, ExplicitSet)))
+    if kind is ExplicitSet:
+        return SchAssumption(mu, ExplicitSet(draw(st.lists(st.sampled_from(_POINTS), min_size=1, max_size=3))))
+    return SchAssumption(mu, kind(draw(st.sampled_from(_POINTS))))
+
+
+def _outcome(f, *args):
+    """The verdict, or the type of the error raised, so a lookup and its oracle compare whole."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_sch_instances(), max_size=12))
+def test_sch_lookups_equal_the_per_instance_scan(sch):
+    ctx = build_context(sch=sch)
+    for mu in _POINTS:
+        for card in _POINTS:
+            assert _outcome(ctx_implies_sch, ctx, mu, card) == _outcome(sch_scan_point, ctx, mu, card)
+            assert _outcome(sch_holds_at, ctx, mu, card) == _outcome(sch_scan_below, ctx, mu, card)
+
+
+class TestFirstCoveringInstance:
+    CTX = build_context(sch=(
+        SchAssumption(ALEPH2, AtLeast(aleph(3))),
+        SchAssumption(aleph(10), ExplicitSet((aleph(5),))),
+    ))
+
+    def test_the_first_covering_instance_wins_across_levels(self):
+        for mu in (ALEPH1, aleph(3)):
+            assert ctx_implies_sch(self.CTX, mu, aleph(5)) == Determined(True, ("SCH(aleph(10), {aleph(5)})",))
+
+    def test_no_level_at_least_mu_covers(self):
+        v = ctx_implies_sch(self.CTX, aleph(11), aleph(12))
+        assert v == Independent(("SCH(aleph(11)) at aleph(12)",))
+
+    def test_a_level_below_mu_is_skipped_at_a_limit(self):
+        ctx = build_context(sch=(
+            SchAssumption(aleph(3), AtLeast(aleph(3))),
+            SchAssumption(ALEPH2, UnboundedBelow(A_W)),
+            SchAssumption(ALEPH1, AtLeast(ALEPH1)),
+        ))
+        assert [a.mu for a in ctx.sch] == [ALEPH1, ALEPH2, aleph(3)]
+        assert sch_holds_at(ctx, ALEPH2, A_W) == Determined(True, ("SCH(aleph(2), below aleph(w))",))
+        assert sch_holds_at(ctx, ALEPH1, A_W) == Determined(True, ("SCH(aleph(1), >= aleph(1))",))
+
+
+_LEVEL_POOL = (
+    SchAssumption(ALEPH1, AtLeast(ALEPH2)),
+    SchAssumption(aleph(10), ExplicitSet((A_W,))),
+    SchAssumption(ALEPH2, UnboundedBelow(A_W1)),
+    SchAssumption(ALEPH1, ExplicitSet((A_W, aleph(3)))),
+    SchAssumption(aleph(10), AtLeast(aleph(10))),
+    SchAssumption(ALEPH2, AtLeast(A_W)),
+    SchAssumption(ALEPH1, UnboundedBelow(A_W)),
+)
+
+
+@given(st.permutations(_LEVEL_POOL))
+def test_the_instances_of_a_level_are_adjacent_whatever_the_order_of_declaration(order):
+    at_once = build_context(sch=order).sch
+    one_by_one = EMPTY_CONTEXT
+    for a in order:
+        one_by_one = extend_context(one_by_one, sch=(a,))
+    assert one_by_one.sch == at_once == build_context(sch=_LEVEL_POOL).sch
+    levels = [a.mu for a in at_once]
+    assert [level for level, _ in groupby(levels)] == [ALEPH1, aleph(10), ALEPH2]
