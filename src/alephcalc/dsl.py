@@ -27,6 +27,11 @@ and each ``^`` of an exponent tower are one level each, and at most
 ``MAX_NESTING`` levels may be open at once.  ``tokenize``, ``parse`` and
 ``parse_assumptions`` raise nothing but ``ParseError`` on any string, so a
 malformed line always becomes a ``syntax error`` record, never a crash.
+
+``parse`` reads an ``aleph(...)`` literal of at most four levels of
+parentheses as one token and looks its value up by the literal's exact text
+in a table the caller may keep across calls.  A line that does not parse so
+is read again token by token, so its error does not depend on the table.
 """
 
 from __future__ import annotations
@@ -143,6 +148,19 @@ _TOKEN = re.compile(r"\d+|" + IDENT.pattern + r"|>=|[-(){},;+*^=]|\S")
 # The first character no token can start: one outside the token alphabet, or a '>' not before '='.
 _BAD = re.compile(r"[^\w\s(){},;+*^=-](?<!>(?==))")
 _SYMBOLS = frozenset(("(", ")", "{", "}", ",", ";", "+", "*", "^", "=", "-", ">="))
+# parse()'s tokens: _TOKEN's, except that an aleph(...) literal of at most this many levels of
+# parentheses is one token.
+_LITERAL_LEVELS = 4
+
+
+def _balanced(levels: int) -> str:
+    r"""A pattern for text whose parentheses balance and nest at most ``levels`` deep.  Each level is
+    unrolled as [^()]*(?:\( inner \)[^()]*)*, which matches a text one way only, so a literal that
+    does not close costs time linear in what the pattern read."""
+    return rf"[^()]*(?:\({_balanced(levels - 1)}\)[^()]*)*" if levels else "[^()]*"
+
+
+_LITERAL_TOKEN = re.compile(rf"aleph\({_balanced(_LITERAL_LEVELS - 1)}\)|" + _TOKEN.pattern)
 
 
 def _where(text: str, pos: int) -> tuple[int, int]:
@@ -150,16 +168,22 @@ def _where(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _scan(text: str) -> tuple[list[str], list[str]]:
-    """Token kinds ending in 'eof' and texts ending in "": one search for a bad character, one findall."""
-    bad = _BAD.search(text)
-    if bad:
-        raise ParseError(*_where(text, bad.start()), ("a token",), repr(bad.group()))
-    texts = _TOKEN.findall(text)
-    kinds = [word if word in _SYMBOLS else "nat" if word[0].isdecimal() else "ident" for word in texts]
+def _split(text: str, pattern: re.Pattern[str] = _TOKEN) -> tuple[list[str], list[str]]:
+    """Kinds ending in 'eof' and texts ending in "" of the tokens ``pattern`` finds in ``text``, one findall."""
+    texts = pattern.findall(text)
+    kinds = [word if word in _SYMBOLS else "nat" if word[0].isdecimal() else "ident" if word[-1] != ")"
+             else "literal" for word in texts]
     kinds.append("eof")
     texts.append("")
     return kinds, texts
+
+
+def _scan(text: str, pattern: re.Pattern[str] = _TOKEN) -> tuple[list[str], list[str]]:
+    """``_split``, after one search for a bad character."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(*_where(text, bad.start()), ("a token",), repr(bad.group()))
+    return _split(text, pattern)
 
 
 def _starts(text: str) -> list[int]:
@@ -188,23 +212,13 @@ _FLAG_WORDS = {first.lower(): (rest, item)
                for text, item in _FLAGS.items() for first, *rest in [re.split("([=-])", text)]}
 
 
-def _closer(kinds: list[str], i: int) -> int | None:
-    """The index of the ')' that closes the '(' at ``i``, if it lies within 64 tokens.  A longer
-    literal is parsed afresh: its key would cost time and memory once per level of nesting around it."""
-    depth = 0
-    for j, kind in enumerate(kinds[i:i + 64], i):
-        depth += (kind == "(") - (kind == ")")
-        if not depth:
-            return j
-    return None
-
-
 class _Parser:
     """Reads the scanner's lists by index; ``pos`` is the index of the next token."""
 
-    def __init__(self, text: str, literals: dict[str, tuple[Aleph, int]] | None = None):
+    def __init__(self, text: str, tokens: tuple[list[str], list[str]],
+                 literals: dict[str, tuple[Aleph, int]] | None = None):
         self.text = text
-        self.kinds, self.texts = _scan(text)
+        self.kinds, self.texts = tokens
         self.pos = 0
         self.depth = 0
         self.literals = literals
@@ -332,7 +346,7 @@ class _Parser:
                 terms.append((ORD_ZERO, self.nat(i)))
             elif kind == "ident" and text == "w":
                 terms.append(self.omega_term())
-            elif kind == "ident" and _CARDINAL_WORD.fullmatch(text):
+            elif kind == "literal" or kind == "ident" and _CARDINAL_WORD.fullmatch(text):
                 card = self.cardinal_primary()
                 if card == ALEPH0:
                     # In a composite index aleph_0 contributes its initial
@@ -386,30 +400,36 @@ class _Parser:
     def cardinal_primary(self) -> CardinalExpr:
         i = self.pos
         self.pos = i + 1
-        text = self.texts[i]
-        if text == "inacc":
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "literal":
+            # literals maps an aleph(...) token's text to its value and the deepest depth it parsed
+            # at, for 4,096 literals at most.  As in a packrat parser (Ford, ICFP 2002), a hit skips
+            # the parse: a literal parses alike at any depth up to one it parsed at, since the only
+            # depth check, in nested(), is monotone.  A miss parses the text inside the parentheses,
+            # which parse() already searched for bad characters, in place of the line's tokens.
+            hit = self.literals.get(text)
+            if hit is not None and self.depth <= hit[1]:
+                return hit[0]
+            outer = self.kinds, self.texts
+            self.kinds, self.texts = _split(text[len("aleph("):-1], _LITERAL_TOKEN)
+            self.pos = 0
+            inner = self.nested(self.index_expr)
+            self.expect("eof")
+            self.kinds, self.texts = outer
+            self.pos = i + 1
+        elif text == "inacc":
             self.expect("(")
             name = self.texts[self.expect("ident", "an atom name")]
             self.expect(")")
             return CardinalAtom(name, weakly_inaccessible=True)
-        if text == "aleph_w":
+        elif text == "aleph_w":
             return Aleph(None, OMEGA)
-        if text != "aleph":  # aleph_N
+        elif text != "aleph":  # aleph_N
             return Aleph(None, from_int(self.nat(i, len("aleph_"))))
-        # If given, literals maps an aleph(...)'s token texts, joined by ' ' so that "1 0" is not
-        # "10", to its value and the deepest depth it parsed at, for 4,096 literals at most.  As in a
-        # packrat parser (Ford, ICFP 2002), a hit skips the parse: a literal parses alike at any depth
-        # up to one it parsed at, since the only depth check, in nested(), is monotone.
-        key = hit = None
-        if (literals := self.literals) is not None and self.kinds[i + 1] == "(":
-            if (j := _closer(self.kinds, i + 1)) is not None:
-                hit = literals.get(key := " ".join(self.texts[i:j + 1]))
-                if hit is not None and self.depth <= hit[1]:
-                    self.pos = j + 1
-                    return hit[0]
-        self.expect("(")
-        inner = self.nested(self.index_expr)
-        self.expect(")")
+        else:
+            self.expect("(")
+            inner = self.nested(self.index_expr)
+            self.expect(")")
         if isinstance(inner, CardinalLiteral):
             base, tail = initial_ordinal(inner.value)
         else:
@@ -417,20 +437,27 @@ class _Parser:
         if isinstance(base, CardinalAtom):
             raise self.fail("an aleph index (atoms are their own fixed points)", at=i)
         value = Aleph(base, tail)
-        if key is not None and (hit is not None or len(literals) < 4096):
-            literals[key] = (value, self.depth)
+        if kind == "literal" and (hit is not None or len(self.literals) < 4096):
+            self.literals[text] = (value, self.depth)
         return value
 
 
 def parse(text: str, literals: dict[str, tuple[Aleph, int]] | None = None) -> Ast:
-    """The AST of ``text``.  ``literals`` is a table the caller keeps across calls, empty at first:
-    each call reuses the aleph(...) values earlier calls put there, with the result of a plain parse."""
-    return _Parser(text, literals).session()
+    """The AST of ``text``.  ``literals`` is a table of aleph(...) values the caller keeps across
+    calls, empty at first; without one the call uses a fresh table.  The result does not depend on
+    the table: each aleph(...) literal of at most four levels of parentheses is one token, looked up
+    by its exact text, and a line that does not parse so is read again token by token, which raises
+    its error with the message, line and column of a token-level parse."""
+    tokens = _scan(text, _LITERAL_TOKEN)
+    try:
+        return _Parser(text, tokens, {} if literals is None else literals).session()
+    except ParseError:
+        return _Parser(text, _split(text)).session()
 
 
 def parse_assumptions(text: str) -> tuple[Assumption, ...]:
     """A comma-separated list of assumptions, e.g. ``gch,SCH(aleph(1), >= aleph(2))``."""
-    parser = _Parser(text)
+    parser = _Parser(text, _scan(text))
     items = [parser.assumption()]
     while parser.accept(","):
         items.append(parser.assumption())

@@ -276,9 +276,9 @@ def evaluate_line(text: str, ctx: HypothesisContext,
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
-    A repeated line is evaluated once per context, and a repeated aleph(...) literal is parsed once
-    and its value kept alive until the call returns.  Returns the exit status: nonzero iff any line
-    produced an error record.
+    A repeated line is evaluated once per context, and a repeated aleph(...) literal of at most four
+    levels of parentheses is parsed once per distinct text and its value kept alive until the call
+    returns.  Returns the exit status: nonzero iff any line produced an error record.
     """
     status = 0
     # Stripped line -> (its rendered records, whether one is an error) under ctx.  A context never

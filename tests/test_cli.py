@@ -1,10 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from alephcalc import EMPTY_CONTEXT, run_batch
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 def run_cli(*argv, input_text=None):
     return subprocess.run(
@@ -140,6 +146,17 @@ class TestBatch:
         second = run_cli("batch", str(script), "--json")
         assert first.stdout == second.stdout
         assert first.stdout.encode() == second.stdout.encode()
+
+    @pytest.mark.parametrize("name", ["golden_session", "golden_vl_session"])
+    def test_golden_sessions_in_text_mode(self, name):
+        """The text-mode records of both golden sessions are frozen, in-process and through the CLI."""
+        script = DATA / f"{name}.txt"
+        expected = (DATA / f"{name}.expected.txt").read_bytes()
+        out = io.StringIO()
+        assert run_batch(script.read_text().splitlines(), EMPTY_CONTEXT, out, as_json=False) == 0
+        assert out.getvalue().encode() == expected
+        proc = subprocess.run([sys.executable, "-m", "alephcalc", "batch", str(script)], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, expected)
 
 
 class TestRepl:

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -743,3 +744,64 @@ def test_a_shared_literal_table_parses_as_a_plain_parse(texts):
     table = {}
     for text in texts:
         assert _parse_outcome(lambda: parse(text, table)) == _parse_outcome(lambda: parse(text))
+
+
+def _token_level_outcome(text):
+    """What the parser gives ``text`` read token by token, with no literal table."""
+    return _parse_outcome(lambda: dsl._Parser(text, dsl._scan(text)).session())
+
+
+LITERAL_CASES = [
+    # whitespace and a newline inside a literal
+    "aleph(w + 1)", "aleph(w\n+1)", "cf(aleph(\n aleph(1)\t))", "aleph( 1 0 )", "aleph(w^(w +1) * 2)",
+    # ',', ';' or '{' inside a literal
+    "aleph(1, 2)", "cf(aleph(1; aleph(2)))", "aleph({1})", "assume SCH(aleph(1), {aleph({2})})",
+    # words that only look like aleph(...)
+    "aleph (1)", "xaleph(1)", "2aleph(1)", "alephs(1)", "aleph_1", "cf(aleph (1))", "cf(xaleph(1))",
+    "cf(2aleph(1))", "cf(alephs(1))", "cf(aleph_1)", "aleph(1)aleph(2)",
+    "aleph(inacc(theta))", "cf(aleph(1) + aleph(inacc(theta)))",
+    # unbalanced
+    "aleph((1)", "aleph(1))", "cf(aleph((1))", "cf(aleph(1)))",
+    # at the bound of four levels of parentheses, and one level deeper
+    "aleph(aleph(aleph(aleph(1))))", "aleph(aleph(aleph(aleph(aleph(1)))))",
+    "aleph(w^(w^(w^(2))))", "aleph(w^(w^(w^(w^(2)))))", "aleph(aleph(w^(w^(w^(2)))))",
+    "aleph(aleph(aleph(aleph(aleph(1))))) + aleph(aleph(aleph(aleph(aleph(2)))))",
+]
+# Literals of 1 to 7 levels of nesting, wrapped in queries to 60 to 66 levels.
+LITERAL_CASES += ["f(" * (total - levels) + literal + ")" * (total - levels)
+                  for literal, levels in [("aleph(1)", 1), ("aleph(aleph(w+1))", 2),
+                                          ("aleph(aleph(aleph(aleph(1))))", 4),
+                                          ("aleph(aleph(aleph(aleph(aleph(1)))))", 5),
+                                          ("aleph(w^(w^(w^(2))))", 7)]
+                  for total in range(60, 67)]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_batch_parse_equals_the_token_level_parse(order):
+    """Each case, asked twice with one table shared by all of them, parses as it does token by token:
+    the same AST, or the same error, message, line, column, expectation and token."""
+    table = {}
+    for text in LITERAL_CASES[::order]:
+        expected = _token_level_outcome(text)
+        assert _parse_outcome(lambda: parse(text, table)) == expected, text
+        assert _parse_outcome(lambda: parse(text, table)) == expected, text
+    assert table  # the cases did fill the table
+
+
+@pytest.mark.parametrize("line", [
+    "aleph(" * 20_000 + "1",
+    "aleph(" + "()" * 50_000,
+    ("aleph(" + "()" * 50) * 2_000,
+    "cf(" + "aleph(1)+" * 30_000 + "1)",
+], ids=["open-alephs", "empty-pairs", "repeated-open-literals", "long-sum"])
+def test_a_long_adversarial_line_is_one_error_record_in_linear_time(line):
+    """A long line that a backtracking literal pattern would stall on gives the token-level error."""
+    out = io.StringIO()
+    begin = time.perf_counter()
+    status = run_batch([line], EMPTY_CONTEXT, out, as_json=True)
+    elapsed = time.perf_counter() - begin
+    records = [json.loads(record) for record in out.getvalue().splitlines()]
+    message = _token_level_outcome(line)[0]
+    assert status == 1
+    assert [(r["query"], r["verdict"], r["notes"]) for r in records] == [(line, "error", [f"error: {message}"])]
+    assert elapsed < 5.0
