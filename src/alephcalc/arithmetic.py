@@ -25,9 +25,10 @@ from .hypotheses import (
     HypothesisContext,
     Independent,
     Verdict,
+    _covering,
+    _sch_below,
     ctx_implies_sch,
     is_false,
-    is_true,
     sch_holds_at,
 )
 from .ordinals import Ordering
@@ -64,6 +65,27 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
     return sch_holds_at(ctx, mu, lam)
 
 
+def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[str, ...] | None:
+    """``used`` of a true ``is_mu_closed(lam, mu, ctx)``, or None; builds no verdict and no
+    text.  The caller has checked ``require_level(mu, lam)``."""
+    if mu == ALEPH0:
+        return ()
+    kind = card_index_classify(lam)
+    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
+        return None
+    return _sch_below(ctx, mu, lam)
+
+
+def _exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[CardinalExpr, tuple[str, ...]] | None:
+    """``(value, used)`` of lam^{<mu} when ctx settles it, or None; builds no verdict and no
+    text.  The caller has checked that mu is regular and lam >= mu."""
+    if mu == ALEPH0:
+        return lam, ()
+    value = lam if cofinality(lam) >= mu else successor(lam)
+    used = _covering(ctx, mu, value)  # value >= lam >= mu: no level check needed
+    return None if used is None else (value, used)
+
+
 def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
     """lam^{<mu}.
 
@@ -76,13 +98,10 @@ def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdi
         if ctx.gch:
             return Determined(mu, ("GCH",))
         return Independent((f"GCH (to evaluate {lam}^<{mu} with {lam} < {mu})",))
-    if mu == ALEPH0:
-        return Determined(lam)
-    value = lam if cofinality(lam) >= mu else successor(lam)
-    witness = is_almost_mu_closed(value, mu, ctx)
-    if is_true(witness):
-        return Determined(value, witness.used)
-    return Independent((f"SCH({mu}) at {lam}",))
+    settled = _exp_lt(lam, mu, ctx)
+    if settled is None:
+        return Independent((f"SCH({mu}) at {lam}",))
+    return Determined(*settled)
 
 
 def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Verdict[bool]:

@@ -77,7 +77,11 @@ class Aleph(CardinalExpr, _HashConsed):
                 raise ValueError("index base must be uncountable; write a countable index as a CNF tail")
 
     def _render(self) -> str:
-        return f"aleph({index_text(self.base, self.tail)})"
+        tail = self.tail._str or str(self.tail)
+        if self.base is None:
+            return "aleph(" + tail + ")"
+        base = self.base._str or str(self.base)
+        return "aleph(" + base + ")" if not self.tail.terms else "aleph(" + base + "+" + tail + ")"
 
 
 class CardinalAtom(CardinalExpr, _HashConsed):

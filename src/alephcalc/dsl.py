@@ -224,6 +224,8 @@ class _Parser:
         self.literals = literals
 
     def fail(self, *expected: str, at: int | None = None) -> ParseError:
+        if self.literals is not None:  # parse() reads the line again token by token for its error
+            return ParseError(0, 0, expected, "")
         i = self.pos if at is None else at
         found = self.texts[i] if self.kinds[i] != "eof" else "end of input"
         return ParseError(*_where(self.text, _starts(self.text)[i]), expected, found)

@@ -210,6 +210,21 @@ def _scope_covers(a: SchAssumption, card: CardinalExpr) -> bool:
     return isinstance(card, Aleph) and successor(card) == scope.limit
 
 
+def _covering(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> tuple[str, ...] | None:
+    """``used`` of the rule by which ctx entails that card is almost mu-closed, or None.
+    Builds no verdict and no text; the caller has checked ``require_level(mu, card)``."""
+    if mu == ALEPH0:
+        return ()
+    if ctx.gch:
+        return ("GCH",)
+    for level, run in groupby(ctx.sch, attrgetter("mu")):
+        if level >= mu:
+            for a in run:
+                if _scope_covers(a, card):
+                    return (a.describe(),)
+    return None
+
+
 def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict[bool]:
     """Does ctx entail that card is almost mu-closed?
 
@@ -217,44 +232,50 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
     >= mu, or trivially for mu = aleph_0; never Determined(False).  The
     instances of one level are adjacent in ``ctx.sch``, so each distinct
     level is compared with mu once; the first covering instance wins.
+    The engine's own callers ask ``_covering``, which builds no verdict.
     """
     require_level(mu, card, what="card")
-    if mu == ALEPH0:
-        return Determined(True)
-    if ctx.gch:
-        return Determined(True, ("GCH",))
-    for level, run in groupby(ctx.sch, attrgetter("mu")):
-        if level >= mu:
-            for a in run:
-                if _scope_covers(a, card):
-                    return Determined(True, (a.describe(),))
-    return Independent((f"SCH({mu}) at {card}",))
+    used = _covering(ctx, mu, card)
+    if used is None:
+        return Independent((f"SCH({mu}) at {card}",))
+    return Determined(True, used)
 
 
-def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
-    """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?
-    At a limit lam it scans ``ctx.sch`` level by level as ``ctx_implies_sch`` does."""
-    require_level(mu, lam)
+def _sch_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> tuple[str, ...] | None:
+    """``used`` of the rule by which ctx entails SCH_{mu,lam}, or None.
+    Builds no verdict and no text; the caller has checked ``require_level(mu, lam)``."""
     if mu == ALEPH0:
-        return Determined(True)
+        return ()
     if ctx.gch:
-        return Determined(True, ("GCH",))
+        return ("GCH",)
     kind = card_index_classify(lam)
     if isinstance(kind, SuccessorCard):
         # The only unbounded set of cardinals below a successor contains its
         # predecessor, so the statement degrades to a pointwise one.
-        if kind.pred < mu:
-            return Independent((f"SCH({mu}) below {lam}",))
-        return ctx_implies_sch(ctx, mu, kind.pred)
+        return None if kind.pred < mu else _covering(ctx, mu, kind.pred)
     for level, run in groupby(ctx.sch, attrgetter("mu")):
         if level < mu:
             continue
         for a in run:
             scope = a.scope
             if isinstance(scope, UnboundedBelow) and scope.limit == lam:
-                return Determined(True, (a.describe(),))
+                return (a.describe(),)
             if isinstance(scope, AtLeast) and card_max(scope.threshold, level) < lam:
-                return Determined(True, (a.describe(),))
+                return (a.describe(),)
+    return None
+
+
+def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
+    """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?
+    At a limit lam it scans ``ctx.sch`` level by level as ``ctx_implies_sch`` does.
+    The engine's own callers ask ``_sch_below``, which builds no verdict."""
+    require_level(mu, lam)
+    used = _sch_below(ctx, mu, lam)
+    if used is not None:
+        return Determined(True, used)
+    kind = card_index_classify(lam)
+    if isinstance(kind, SuccessorCard) and kind.pred >= mu:
+        return Independent((f"SCH({mu}) at {kind.pred}",))
     return Independent((f"SCH({mu}) below {lam}",))
 
 

@@ -156,26 +156,19 @@ class CnfOrdinal(_HashConsed):
         return cnf_add(self, other)
 
     def _render(self) -> str:
-        return "+".join(_term_str(e, c) for e, c in self.terms) if self.terms else "0"
-
-
-def _exp_needs_parens(exp: CnfOrdinal) -> bool:
-    # Unparenthesised exponents are exactly what the grammar's exponent
-    # position accepts: a natural, or a coefficient-1 single term (w, w^w, ...).
-    if exp.is_nat:
-        return False
-    return not (len(exp.terms) == 1 and exp.terms[0][1] == 1)
-
-
-def _term_str(exp: CnfOrdinal, coeff: int) -> str:
-    if exp.is_zero:
-        return str(coeff)
-    if exp == ORD_ONE:
-        body = "w"
-    else:
-        e = str(exp)
-        body = f"w^({e})" if _exp_needs_parens(exp) else f"w^{e}"
-    return body if coeff == 1 else f"{body}*{coeff}"
+        parts = []
+        for exp, coeff in self.terms:
+            if not exp.terms:
+                parts.append(str(coeff))
+                continue
+            # Unparenthesised exponents are exactly what the grammar's exponent position
+            # accepts: a natural, or a coefficient-1 single term (w, w^w, ...).
+            text = exp._str or str(exp)
+            t = exp.terms
+            bare = len(t) == 1 and (t[0][1] == 1 or not t[0][0].terms)
+            body = "w" if exp is ORD_ONE else "w^" + text if bare else "w^(" + text + ")"
+            parts.append(body if coeff == 1 else f"{body}*{coeff}")
+        return "+".join(parts) or "0"
 
 
 def from_int(n: int) -> CnfOrdinal:

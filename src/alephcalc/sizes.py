@@ -34,11 +34,11 @@ from .hypotheses import (
     HypothesisContext,
     Independent,
     Verdict,
+    _sch_below,
     is_false,
     is_true,
-    sch_holds_at,
 )
-from .arithmetic import exp_lt, is_mu_closed
+from .arithmetic import _exp_lt, _mu_closed, exp_lt, is_mu_closed
 from .ordinals import Ordering, _Record, _set
 
 
@@ -124,26 +124,28 @@ def internal_size_of_cardinality(
     if is_true(closed):
         return Determined(lam, closed.used)
     kind = card_index_classify(lam)
+    # Every cardinal asked about below exceeds LS(K) >= mu, and ClassParams checked that mu is
+    # regular, so the lookups need no level check.
     if is_false(closed):
         # Koenig: lam is the successor of a cardinal of cofinality below mu.
-        sch = sch_holds_at(ctx, mu, lam)
-        if is_true(sch):
-            return TwoCandidates(kind.pred, lam, sch.used)
+        used = _sch_below(ctx, mu, lam)
+        if used is not None:
+            return TwoCandidates(kind.pred, lam, used)
     # Fall back to the largest context-certified mu-closed regular cardinal
     # <= lam as a lower bound; the class's own LST axiom is deliberately not
     # used as a closure fact (for some parameters it is itself independent).
     if isinstance(kind, SuccessorCard):
         pred = kind.pred
         if pred > params.ls and is_regular(pred):
-            below = is_mu_closed(pred, mu, ctx)
-            if is_true(below):
-                return SizeInterval(pred, lam, tight=False, used=below.used)
+            used = _mu_closed(pred, mu, ctx)
+            if used is not None:
+                return SizeInterval(pred, lam, tight=False, used=used)
     if not isinstance(params.ls, CardinalAtom):
         ls_succ = successor(params.ls)
         if ls_succ <= lam:
-            base = is_mu_closed(ls_succ, mu, ctx)
-            if is_true(base):
-                return SizeInterval(ls_succ, lam, tight=False, used=base.used)
+            used = _mu_closed(ls_succ, mu, ctx)
+            if used is not None:
+                return SizeInterval(ls_succ, lam, tight=False, used=used)
     missing = closed.reason if isinstance(closed, Independent) else f"SCH({mu}) below {lam}"
     return Independent((
         f"mu-closedness of {lam} at {mu} is undecided and no mu-closed regular cardinal in "
@@ -218,20 +220,21 @@ def existence_at(
     if not params.arbitrarily_large_models:
         raise ValueError("existence analysis requires arbitrarily large models")
     mu = params.mu
+    # lam > LS(K) >= mu and mu is regular, so the lookups need no level check.
     if is_regular(lam):
         if params.admits_intersections:
             # Intersections give all regular internal sizes >= mu outright.
             return Determined(True)
-        e = exp_lt(lam, mu, ctx)
-        if isinstance(e, Determined) and e.value == lam:
-            return Determined(True, e.used)
-    sch = sch_holds_at(ctx, mu, lam)
-    if is_true(sch):
+        e = _exp_lt(lam, mu, ctx)
+        if e is not None and e[0] == lam:
+            return Determined(True, e[1])
+    used = _sch_below(ctx, mu, lam)
+    if used is not None:
         if params.admits_intersections:
-            return Determined(True, sch.used)
-        e = exp_lt(lam, mu, ctx)
-        if isinstance(e, Determined) and e.value == lam:
-            return Determined(True, tuple(sorted(set(sch.used) | set(e.used))))
+            return Determined(True, used)
+        e = _exp_lt(lam, mu, ctx)
+        if e is not None and e[0] == lam:
+            return Determined(True, tuple(sorted(set(used) | set(e[1]))))
     return Independent(
         (
             f"a clause certifying existence at {lam}: regularity with a degenerate window, "

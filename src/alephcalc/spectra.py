@@ -36,9 +36,8 @@ from .hypotheses import (
     HypothesisContext,
     Independent,
     ZeroSharp,
-    is_true,
+    _sch_below,
     l_cofinality,
-    sch_holds_at,
 )
 from .ordinals import CnfOrdinal, Ordering, _Record, _set
 
@@ -207,9 +206,9 @@ def shelah_count_by_internal_size(
     if is_regular(lam):
         return AtLeastCard(successor(lam))
     # For singular lam, mu-closedness is exactly SCH_{mu,lam}.
-    sch = sch_holds_at(ctx, mu, lam)
-    if is_true(sch):
-        return AtLeastCard(successor(lam), sch.used)
+    used = _sch_below(ctx, mu, lam)
+    if used is not None:
+        return AtLeastCard(successor(lam), used)
     return Independent((
         f"neither regularity nor mu-closedness of {lam} nor SCH({mu}) below {lam} is available",
     ))

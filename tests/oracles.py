@@ -13,6 +13,8 @@
   replaced with one ``findall``.
 * The SCH lookups scanning every declared instance in turn, with no grouping
   of the instances by level.
+* The DSL text of ordinals and cardinals, written from a plain-tuple form of
+  their fields, with the parentheses an exponent needs read off its text.
 """
 
 from __future__ import annotations
@@ -245,3 +247,42 @@ def sch_scan_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) 
         if isinstance(scope, AtLeast) and card_max(scope.threshold, a.mu) < lam:
             return Determined(True, (a.describe(),))
     return Independent((f"SCH({mu}) below {lam}",))
+
+
+# --- value text -------------------------------------------------------------------
+
+
+def cnf_tree(o: CnfOrdinal) -> tuple:
+    """o as plain nested tuples ``((exponent tree, coefficient), ...)``: the encoding of
+    ``cnf_to_tuple`` with each exponent spelt out, so it reaches every ordinal below epsilon_0."""
+    return tuple((cnf_tree(exp), coeff) for exp, coeff in o.terms)
+
+
+def _bare_exponent(text: str) -> bool:
+    """Can ``text`` follow ``^`` without parentheses: has it no '+' or '*' outside parentheses?"""
+    while "(" in text:
+        text = re.sub(r"\([^()]*\)", "", text)
+    return "+" not in text and "*" not in text
+
+
+def tree_text(tree: tuple) -> str:
+    """The DSL text of an ordinal given as ``cnf_tree`` gives it."""
+    out = []
+    for exp, coeff in tree:
+        if not exp:
+            out.append(str(coeff))
+            continue
+        power = tree_text(exp)
+        power = "w" if power == "1" else f"w^{power}" if _bare_exponent(power) else f"w^({power})"
+        out.append(power if coeff == 1 else f"{power}*{coeff}")
+    return "+".join(out) or "0"
+
+
+def card_text(c: CardinalExpr) -> str:
+    """The DSL text of a cardinal: ``aleph(index)``, ``inacc(name)`` or ``atom(name)``."""
+    if isinstance(c, CardinalAtom):
+        return f"{'inacc' if c.weakly_inaccessible else 'atom'}({c.name})"
+    tail = tree_text(cnf_tree(c.tail))
+    if c.base is None:
+        return f"aleph({tail})"
+    return f"aleph({card_text(c.base)})" if tail == "0" else f"aleph({card_text(c.base)}+{tail})"

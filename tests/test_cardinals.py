@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alephcalc import (
@@ -20,9 +20,12 @@ from alephcalc import (
     lambda_star,
     successor,
 )
-from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, Ordering, cnf_add, from_int
+from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, Ordering, cnf_add, from_int, omega_power
+
+from alephcalc.dsl import parse
 
 from conftest import alephs, cardinals
+from oracles import card_text
 
 A_W = aleph(OMEGA)
 A_W1 = aleph(cnf_add(OMEGA, ORD_ONE))
@@ -164,3 +167,17 @@ class TestRepresentationInvariants:
         assert str(A_OMEGA1) == "aleph(aleph(1))"
         assert str(Aleph(ALEPH1, OMEGA)) == "aleph(aleph(1)+w)"
         assert str(THETA) == "inacc(theta)"
+
+
+@given(cardinals(with_atoms=True))
+@example(Aleph(Aleph(ALEPH1, omega_power(cnf_add(OMEGA, ORD_ONE))), omega_power(from_int(2), 3)))
+@example(aleph(omega_power(omega_power(OMEGA), 2)))
+@example(THETA)
+def test_str_matches_the_reference_renderer_and_parses_back(c):
+    assert str(c) == repr(c) == card_text(c)
+    assert parse(str(c)).value is c
+
+
+def test_a_plain_atom_renders_as_the_reference():
+    atom = CardinalAtom("x")
+    assert str(atom) == card_text(atom) == "atom(x)"

@@ -788,6 +788,22 @@ def test_a_batch_parse_equals_the_token_level_parse(order):
     assert table  # the cases did fill the table
 
 
+@pytest.mark.parametrize("text", [
+    "cf(oops", "cf(aleph(1)", "cf(aleph(1)))", "cf(aleph(1 0))", "aleph(aleph(aleph(aleph(aleph(1))))) +",
+    "assume SCH(aleph(1), {aleph(2)}",
+    pytest.param("exp_lt(aleph(1),\n aleph(" + "9" * 4_001 + "))", id="a-natural-past-the-digit-bound"),
+])
+def test_a_failing_line_finds_its_token_starts_once(monkeypatch, text):
+    """Only the token-level read of a failing line places its error: the literal-token pass before
+    it builds no message, line or column, and the error is the token-level one."""
+    calls = []
+    starts = dsl._starts
+    monkeypatch.setattr(dsl, "_starts", lambda line: calls.append(line) or starts(line))
+    outcome = _parse_outcome(lambda: parse(text, {}))
+    assert calls == [text]
+    assert outcome == _token_level_outcome(text)
+
+
 @pytest.mark.parametrize("line", [
     "aleph(" * 20_000 + "1",
     "aleph(" + "()" * 50_000,

@@ -29,8 +29,9 @@ from alephcalc import (
     sch_holds_at,
     successor,
 )
-from alephcalc.arithmetic import two_lt
-from alephcalc.hypotheses import HypothesisContext, is_true
+from alephcalc.arithmetic import _mu_closed, is_mu_closed, two_lt
+from alephcalc.cardinals import require_level
+from alephcalc.hypotheses import HypothesisContext, _covering, _sch_below, is_true
 from alephcalc.ordinals import OMEGA, cnf_add, from_int
 
 from conftest import alephs
@@ -313,6 +314,29 @@ def test_sch_lookups_equal_the_per_instance_scan(sch):
         for card in _POINTS:
             assert _outcome(ctx_implies_sch, ctx, mu, card) == _outcome(sch_scan_point, ctx, mu, card)
             assert _outcome(sch_holds_at, ctx, mu, card) == _outcome(sch_scan_below, ctx, mu, card)
+
+
+def _used_if_true(f, *args):
+    """``used`` of a true verdict, None for any other verdict, or the type of the error raised."""
+    v = _outcome(f, *args)
+    return v if isinstance(v, type) else v.used if is_true(v) else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_sch_instances(), max_size=12))
+def test_each_lookup_helper_gives_the_used_of_a_true_verdict(sch):
+    """The helpers the engine asks internally answer as the public lookups and their oracles do,
+    wherever the arguments pass the level check that the helpers leave to their callers."""
+    ctx = build_context(sch=sch)
+    for mu in _POINTS:
+        for card in _POINTS:
+            if _outcome(require_level, mu, card) is not None:
+                continue
+            expected = _used_if_true(ctx_implies_sch, ctx, mu, card)
+            assert _outcome(_covering, ctx, mu, card) == expected == _used_if_true(sch_scan_point, ctx, mu, card)
+            expected = _used_if_true(sch_holds_at, ctx, mu, card)
+            assert _outcome(_sch_below, ctx, mu, card) == expected == _used_if_true(sch_scan_below, ctx, mu, card)
+            assert _outcome(_mu_closed, card, mu, ctx) == _used_if_true(is_mu_closed, card, mu, ctx)
 
 
 class TestFirstCoveringInstance:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alephcalc.dsl import parse
+
 from alephcalc.ordinals import (
     OMEGA,
     ORD_ONE,
@@ -22,7 +24,7 @@ from alephcalc.ordinals import (
 )
 
 from conftest import cnf_ordinals
-from oracles import all_tuples, cnf_to_tuple, tuple_add, tuple_compare, tuple_to_cnf
+from oracles import all_tuples, cnf_to_tuple, cnf_tree, tree_text, tuple_add, tuple_compare, tuple_to_cnf
 
 W2 = omega_power(from_int(2))
 W3 = omega_power(from_int(3))
@@ -125,3 +127,26 @@ def test_compare_antisymmetric(a, b):
 @given(cnf_ordinals())
 def test_str_is_canonical_and_stable(a):
     assert str(a) == str(CnfOrdinal(a.terms))
+
+
+# Exponents the renderer must bracket right: w, w^w, w^(w+1) and w^2*3, alone and nested.
+W_W1 = omega_power(cnf_add(OMEGA, ORD_ONE))
+W2_3 = omega_power(from_int(2), 3)
+RENDER_CASES = [OMEGA, W_W, W_W1, W2_3, omega_power(W_W), omega_power(W_W1), omega_power(W2_3, 2),
+                omega_power(omega_power(W2_3)), cnf_sum((W_W1, 2), (W_W, 1), (W2_3, 3), (OMEGA, 4), (ORD_ZERO, 7))]
+
+
+def _renders_as_the_reference(a):
+    assert str(a) == tree_text(cnf_tree(a))
+    ast = parse(str(a))
+    assert ast.base is None and ast.tail is a
+
+
+@given(cnf_ordinals(depth=3))
+def test_str_matches_the_reference_renderer_and_parses_back(a):
+    _renders_as_the_reference(a)
+
+
+def test_str_of_listed_exponents_and_small_ordinals_matches_the_reference_renderer():
+    for a in RENDER_CASES + [tuple_to_cnf(t) for t in all_tuples(2)]:
+        _renders_as_the_reference(a)
