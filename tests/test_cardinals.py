@@ -20,9 +20,8 @@ from alephcalc import (
     lambda_star,
     successor,
 )
-from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, Ordering, cnf_add, from_int, omega_power
-
 from alephcalc.dsl import parse
+from alephcalc.ordinals import OMEGA, ORD_ONE, ORD_ZERO, Ordering, cnf_add, from_int, omega_power
 
 from conftest import alephs, cardinals
 from oracles import card_text

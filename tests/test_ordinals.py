@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alephcalc.dsl import parse
-
 from alephcalc.ordinals import (
     OMEGA,
     ORD_ONE,
