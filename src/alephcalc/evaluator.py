@@ -1,7 +1,7 @@
 """Query dispatch: route parsed statements to engine operations.
 
 Every query evaluates to a ``QueryResult`` with the fixed field order
-{query, verdict, value, assumptions_used, notes}; ``to_json_line`` renders
+{query, verdict, value, assumptions_used, notes}; ``to_json_line`` writes
 exactly one machine-readable line so batch output is byte-deterministic.
 Independent verdicts surface their missing assumptions as ``missing:``
 notes; engine errors surface verbatim with verdict ``error``.
@@ -9,7 +9,7 @@ notes; engine errors surface verbatim with verdict ``error``.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, TextIO
 
 from . import arithmetic, sizes, spectra
@@ -57,6 +57,9 @@ class QueryError(Exception):
 
 
 class QueryResult(_Record):
+    """One record.  ``to_json_line`` writes it as the JSON object of its five fields in order, the
+    line ``json.dumps`` gives for it, built by hand from the same ASCII string escaping."""
+
     __slots__ = ("query", "verdict", "value", "assumptions_used", "notes")
     def __init__(self, query: str, verdict: str, value: str | None,
                  assumptions_used: tuple[str, ...] = (), notes: tuple[str, ...] = ()) -> None:
@@ -67,15 +70,14 @@ class QueryResult(_Record):
         _set(self, "notes", notes)
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "query": self.query,
-                "verdict": self.verdict,
-                "value": self.value,
-                "assumptions_used": list(self.assumptions_used),
-                "notes": list(self.notes),
-            }
-        )
+        """``json.dumps`` of the dict of the five fields, tuples as lists, without its generic encoder:
+        each string goes through ``encode_basestring_ascii``, the escaping ``json.dumps`` applies with
+        its default ``ensure_ascii``, and the separators are its defaults, ``", "`` and ``": "``."""
+        quote = encode_basestring_ascii
+        value = "null" if self.value is None else quote(self.value)
+        return (f'{{"query": {quote(self.query)}, "verdict": {quote(self.verdict)}, "value": {value}, '
+                f'"assumptions_used": [{", ".join(map(quote, self.assumptions_used))}], '
+                f'"notes": [{", ".join(map(quote, self.notes))}]}}')
 
     def pretty(self) -> str:
         if self.verdict == "determined":
@@ -231,6 +233,21 @@ def apply_assumption(ctx: HypothesisContext, item: Assumption) -> HypothesisCont
     return extend_context(ctx, sch=(item,))
 
 
+def _answer(ast: Query | CardinalLiteral | OrdinalLiteral | BoolLiteral, name: str,
+            ctx: HypothesisContext) -> QueryResult:
+    """The record of a query or literal whose canonical text is ``name``."""
+    if not isinstance(ast, Query):
+        return QueryResult(name, "determined", name)
+    entry = QUERIES.get(ast.name)
+    if entry is None:
+        raise QueryError(f"unknown query name: {_clip(ast.name)}")
+    kinds, handler = entry
+    if len(ast.args) != len(kinds):
+        raise QueryError(f"{ast.name} takes {len(kinds)} argument(s), got {len(ast.args)}")
+    args = [_coerce(ast.name, i, kind, arg) for i, (kind, arg) in enumerate(zip(kinds, ast.args))]
+    return handler(name, ctx, *args)
+
+
 def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], HypothesisContext]:
     """Evaluate one statement (or session); assume items fold into the context."""
     if isinstance(ast, Session):
@@ -241,18 +258,21 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
         return results, ctx
     if isinstance(ast, Assume):
         return [], apply_assumption(ctx, ast.item)
-    name = format_statement(ast)
-    if isinstance(ast, (CardinalLiteral, OrdinalLiteral, BoolLiteral)):
-        return [QueryResult(name, "determined", name)], ctx
-    assert isinstance(ast, Query)
-    entry = QUERIES.get(ast.name)
-    if entry is None:
-        raise QueryError(f"unknown query name: {_clip(ast.name)}")
-    kinds, handler = entry
-    if len(ast.args) != len(kinds):
-        raise QueryError(f"{ast.name} takes {len(kinds)} argument(s), got {len(ast.args)}")
-    args = [_coerce(ast.name, i, kind, arg) for i, (kind, arg) in enumerate(zip(kinds, ast.args))]
-    return [handler(name, ctx, *args)], ctx
+    return [_answer(ast, format_statement(ast), ctx)], ctx
+
+
+class _BatchTable(dict):
+    """The parse state of one ``run_batch`` call, passed as ``evaluate_line``'s ``literals``.  As a dict
+    it is ``parse``'s table of aleph(...) values.  ``lines`` maps a line's text to its AST and canonical
+    text, or None in place of the text for an assume or a session, whose records carry their items'
+    text; it holds 4,096 lines at most.  An AST does not depend on the context, so ``lines`` is kept
+    across a change of context."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lines: dict[str, tuple[Ast, str | None]] = {}
 
 
 def evaluate_line(text: str, ctx: HypothesisContext,
@@ -260,39 +280,49 @@ def evaluate_line(text: str, ctx: HypothesisContext,
     """Parse (with ``parse``'s ``literals``) and evaluate ``text``, turning any exception into one error record.
 
     A ``ParseError``, ``QueryError`` or ``ValueError`` gives an ``error:`` note, any other exception (a parser
-    or engine bug) an ``internal:`` one; the record's query is the stripped text if parsing failed."""
-    ast = None
+    or engine bug) an ``internal:`` one; the record's query is the stripped text if parsing failed.  Given
+    ``run_batch``'s table as ``literals``, a line parsed before in the same batch is not parsed again."""
+    lines = getattr(literals, "lines", None)
+    parsed = None
     try:
-        ast = parse(text, literals)
-        return evaluate(ast, ctx)
+        parsed = None if lines is None else lines.get(text)
+        if parsed is None:
+            ast = parse(text, literals)
+            parsed = ast, None if isinstance(ast, (Assume, Session)) else format_statement(ast)
+            if lines is not None and len(lines) < 4096:
+                lines[text] = parsed
+        ast, name = parsed
+        return evaluate(ast, ctx) if name is None else ([_answer(ast, name, ctx)], ctx)
     except (ParseError, QueryError, ValueError) as err:
         note = f"error: {err}"
     except Exception as err:  # a parser or engine bug: one visible record, not a traceback
         note = f"internal: {type(err).__name__}: {err}"
-    query = text.strip() if ast is None else format_statement(ast)
+    query = text.strip() if parsed is None else parsed[1] or format_statement(parsed[0])
     return [QueryResult(query, "error", None, (), (note,))], ctx
 
 
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
-    A repeated line is evaluated once per context, and a repeated aleph(...) literal of at most four
-    levels of parentheses is parsed once per distinct text and its value kept alive until the call
-    returns.  Returns the exit status: nonzero iff any line produced an error record.
+    A repeated line is parsed once per call, across assume lines, and evaluated once per context.  A
+    repeated aleph(...) literal of at most four levels of parentheses is parsed once per distinct text
+    and its value kept alive until the call returns.  Returns the exit status: nonzero iff any line
+    produced an error record.
     """
     status = 0
     # Stripped line -> (its rendered records, whether one is an error) under ctx.  A context never
     # comes back once left, so clearing on every change of ctx is the same as keying on (line, ctx).
-    # 4,096 lines bound the memo.  literals is the parser's table of aleph(...) values for this call.
+    # 4,096 lines bound the memo.  tables holds the parser's aleph(...) values and the parsed lines
+    # for this call.
     memo: dict[str, tuple[tuple[str, ...], bool]] = {}
-    literals: dict = {}
+    tables = _BatchTable()
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         hit = memo.get(line)
         if hit is None:
-            results, new_ctx = evaluate_line(line, ctx, literals)
+            results, new_ctx = evaluate_line(line, ctx, tables)
             hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
                    any(r.verdict == "error" for r in results))
             if new_ctx is ctx and len(memo) < 4096:

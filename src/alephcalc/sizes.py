@@ -35,8 +35,6 @@ from .hypotheses import (
     Independent,
     Verdict,
     _sch_below,
-    is_false,
-    is_true,
 )
 from .arithmetic import _exp_lt, _mu_closed, exp_lt, is_mu_closed
 from .ordinals import Ordering, _Record, _set
@@ -120,14 +118,15 @@ def internal_size_of_cardinality(
     if lam <= params.ls:
         return BelowLS()
     mu = params.mu
-    closed = is_mu_closed(lam, mu, ctx)
-    if is_true(closed):
-        return Determined(lam, closed.used)
-    kind = card_index_classify(lam)
-    # Every cardinal asked about below exceeds LS(K) >= mu, and ClassParams checked that mu is
+    # Every cardinal asked about here exceeds LS(K) >= mu, and ClassParams checked that mu is
     # regular, so the lookups need no level check.
-    if is_false(closed):
-        # Koenig: lam is the successor of a cardinal of cofinality below mu.
+    used = _mu_closed(lam, mu, ctx)
+    if used is not None:
+        return Determined(lam, used)
+    kind = card_index_classify(lam)
+    # Koenig: lam is the successor of a cardinal of cofinality below mu, so it is not mu-closed.
+    koenig = isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu
+    if koenig:
         used = _sch_below(ctx, mu, lam)
         if used is not None:
             return TwoCandidates(kind.pred, lam, used)
@@ -146,7 +145,12 @@ def internal_size_of_cardinality(
             used = _mu_closed(ls_succ, mu, ctx)
             if used is not None:
                 return SizeInterval(ls_succ, lam, tight=False, used=used)
-    missing = closed.reason if isinstance(closed, Independent) else f"SCH({mu}) below {lam}"
+    # The miss is_mu_closed names when Koenig does not settle it; a successor lam > LS(K) >= mu has
+    # its predecessor at least mu.
+    if isinstance(kind, SuccessorCard) and not koenig:
+        missing = f"SCH({mu}) at {kind.pred}"
+    else:
+        missing = f"SCH({mu}) below {lam}"
     return Independent((
         f"mu-closedness of {lam} at {mu} is undecided and no mu-closed regular cardinal in "
         f"({params.ls}, {lam}] is certified (missing: {missing})",

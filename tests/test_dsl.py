@@ -25,7 +25,7 @@ from alephcalc import (
     parse,
     run_batch,
 )
-from alephcalc import dsl
+from alephcalc import arithmetic, dsl, evaluator
 from alephcalc.dsl import (
     MAX_FOUND,
     MAX_NESTING,
@@ -821,3 +821,102 @@ def test_a_long_adversarial_line_is_one_error_record_in_linear_time(line):
     assert status == 1
     assert [(r["query"], r["verdict"], r["notes"]) for r in records] == [(line, "error", [f"error: {message}"])]
     assert elapsed < 5.0
+
+
+# Lines of the flat shape name(literal, ..., literal), and lines one step away from it, that only
+# the general path may read.
+FLAT_LINE_CASES = [
+    "assume(aleph(1))", "Assume(aleph(1))", "true(aleph(1))", "TRUE(aleph(1))", "false(aleph(1))",
+    "w(aleph(1))", "W(aleph(1))", "aleph_1(aleph(1))", "aleph_w(aleph(1))", "inacc(aleph(1))",
+    "f()", "f(aleph(1),)", "f(aleph(1) aleph(2))", "f(aleph(1)+1)", "f(aleph(1),,aleph(2))",
+    "f(aleph(aleph(aleph(aleph(aleph(1))))))", "f(aleph(inacc(t)))", "cf(aleph(0))",
+    "cf(aleph(1)); cf(aleph(2))", "cf(aleph(1)) aleph(2)", "f(aleph(1)", "f(aleph(1)))",
+    "f(aleph(oops))", "f(aleph(1 0))", "f(aleph(1), true)", "f(aleph(w), aleph(w))",
+    "no_model_rule(aleph(1), aleph(1), aleph(w+1), aleph(2), aleph(3), aleph(4))",
+]
+FLAT_NAMES = ["cf", "f", "no_model_rule", "W", "alephs", "x1"]
+NOT_FLAT_NAMES = ["assume", "ASSUME", "true", "True", "false", "FALSE", "w", "aleph", "aleph_0", "aleph_12",
+                  "aleph_w", "inacc"]
+FLAT_ARGS = [literal for literal, _ in NESTED_LITERALS] + ["aleph(0)", "aleph(1 0)", "aleph(oops)", "aleph(w^2*3+7)"]
+NOT_FLAT_ARGS = ["aleph(aleph(aleph(aleph(aleph(1)))))", "aleph(w)+1", "aleph(1) aleph(2)", "1", "w", "true",
+                 "inacc(t)", "aleph_1", ""]
+
+
+@st.composite
+def flat_lines(draw):
+    """name(arg, ..., arg): a flat line, or one with some parts that no flat line has."""
+    flat = draw(st.booleans())
+    name = draw(st.sampled_from(FLAT_NAMES if flat else FLAT_NAMES + NOT_FLAT_NAMES))
+    args = draw(st.lists(st.sampled_from(FLAT_ARGS if flat else FLAT_ARGS + NOT_FLAT_ARGS),
+                         min_size=flat, max_size=6))
+    sep = draw(st.sampled_from([", ", ",", " , "] if flat else [", ", " ", ",,"]))
+    end = draw(st.sampled_from([")", " ) "] if flat else [")", "", "),", ");cf(aleph(1))"]))
+    return f"{name}({sep.join(args)}{end}"
+
+
+def _general_outcome(text):
+    """What the general parser gives ``text`` read token by token: the flat path never sees a literal token."""
+    return _parse_outcome(lambda: dsl._Parser(text, dsl._split(text)).session())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(flat_lines(), min_size=1, max_size=12))
+@example(FLAT_LINE_CASES)
+def test_a_flat_line_parses_as_the_general_parser_reads_it(texts):
+    """With one literal table shared by the lines, each parses to the general parser's AST or error."""
+    table = {}
+    for text in texts:
+        assert _parse_outcome(lambda: parse(text, table)) == _general_outcome(text), text
+
+
+@pytest.mark.parametrize("text, flat", [
+    ("cf(aleph(1))", True), ("cf(aleph(0))", True), ("hilbert_card(aleph(aleph(w+1)))", True),
+    ("no_model_rule(aleph(1), aleph(1), aleph(w+1), aleph(2), aleph(3), aleph(4))", True),
+    ("cf(aleph(w)+1)", False), ("W(aleph(1))", True), ("w(aleph(1))", False), ("TRUE(aleph(1))", False),
+    ("assume(aleph(1))", False), ("inacc(aleph(1))", False), ("aleph_1(aleph(1))", False),
+    ("f(aleph(1), true)", False), ("f(aleph(aleph(aleph(aleph(aleph(1))))))", False),
+])
+def test_only_a_flat_line_skips_the_grammar_walk(monkeypatch, text, flat):
+    """A flat line that parses reads its literals without ``statement``; every other line goes through it."""
+    calls = []
+    statement = dsl._Parser.statement
+    monkeypatch.setattr(dsl._Parser, "statement", lambda parser: calls.append(parser.pos) or statement(parser))
+    outcome = _parse_outcome(lambda: parse(text, {}))
+    assert (calls == []) == flat
+    assert outcome == _general_outcome(text)
+
+
+@pytest.mark.parametrize("text", ["cf(aleph(1))", "hilbert_card(aleph(aleph(w+1)))",
+                                  "no_model_rule(aleph(1), aleph(1), aleph(w+1), aleph(2), aleph(3), aleph(4))"])
+def test_a_flat_line_keeps_its_literals_as_the_grammar_walk_does(text):
+    """The literal table after a flat line holds what the grammar walk leaves: each value at the depth
+    of a query argument."""
+    flat, walked = {}, {}
+    parse(text, flat)
+    parser = dsl._Parser(text, dsl._split(text, dsl._LITERAL_TOKEN), walked)
+    assert parser.statement() == parse(text)
+    assert flat == walked and flat
+
+
+def test_a_batch_parses_a_line_once_across_a_context_change(monkeypatch):
+    """A line asked, then asked again after ``assume GCH``, is parsed once and evaluated twice, and
+    its second record is the GCH answer."""
+    line = "exp_lt(aleph(w), aleph(1))"
+    lines = [line, "assume GCH", " " + line, "two_lt(aleph(1))", line]
+    parsed, evaluated = [], []
+    parse_line, exp_lt = evaluator.parse, arithmetic.exp_lt
+    monkeypatch.setattr(evaluator, "parse", lambda text, *rest: parsed.append(text) or parse_line(text, *rest))
+    monkeypatch.setattr(arithmetic, "exp_lt", lambda *args: evaluated.append(args) or exp_lt(*args))
+    out = io.StringIO()
+    assert run_batch(lines, EMPTY_CONTEXT, out, as_json=True) == 0
+    assert parsed == [line, "assume GCH", "two_lt(aleph(1))"]
+    assert len(evaluated) == 2
+    records = [json.loads(record) for record in out.getvalue().splitlines()]
+    assert [(r["query"], r["verdict"], r["value"], r["assumptions_used"]) for r in records] == [
+        (line, "independent", "aleph(w)^<aleph(1)", []),
+        (line, "determined", "aleph(w+1)", ["GCH"]),
+        ("two_lt(aleph(1))", "determined", "aleph(1)", ["GCH"]),
+        (line, "determined", "aleph(w+1)", ["GCH"]),
+    ]
+    monkeypatch.undo()
+    _check_against_reference(lines, EMPTY_CONTEXT)

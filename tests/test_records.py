@@ -6,9 +6,12 @@ is read-only, and survives ``copy``, ``deepcopy`` and ``pickle``.
 """
 
 import copy
+import json
 import pickle
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from alephcalc import build_context, exp_lt, internal_size_of_cardinality
 from alephcalc.cardinals import ALEPH0, ALEPH1, ALEPH2, Aleph, LimitCard, SuccessorCard, aleph
@@ -233,3 +236,18 @@ def test_copy_deepcopy_and_pickle_round_trip(x):
         assert type(twin) is type(x)
         assert twin == x
         assert repr(twin) == repr(x)
+
+
+# Any text, lone surrogates included, with quotes, backslashes and control characters drawn often.
+ANY_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\x00\x1f\x7f\n\t/')))
+
+
+@given(ANY_TEXT, st.sampled_from(["determined", "independent", "error"]), st.none() | ANY_TEXT,
+       st.lists(ANY_TEXT, max_size=3).map(tuple), st.lists(ANY_TEXT, max_size=3).map(tuple))
+@example("cf(\u00e9) \U0001d54f \ud800", "error", None, (), ())
+@example('q"\\\x00\x1f\x7f\u2028', "independent", "", ("GCH", "\udfff"), ('"', "\\", "\n\r\t\b\f"))
+def test_a_json_line_is_the_json_dumps_of_its_fields(query, verdict, value, used, notes):
+    result = QueryResult(query, verdict, value, used, notes)
+    expected = json.dumps({"query": query, "verdict": verdict, "value": value,
+                           "assumptions_used": list(used), "notes": list(notes)})
+    assert result.to_json_line() == expected
