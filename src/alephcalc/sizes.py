@@ -147,13 +147,10 @@ def internal_size_of_cardinality(
                 return SizeInterval(ls_succ, lam, tight=False, used=used)
     # The miss is_mu_closed names when Koenig does not settle it; a successor lam > LS(K) >= mu has
     # its predecessor at least mu.
-    if isinstance(kind, SuccessorCard) and not koenig:
-        missing = f"SCH({mu}) at {kind.pred}"
-    else:
-        missing = f"SCH({mu}) below {lam}"
+    where = f"at {kind.pred}" if isinstance(kind, SuccessorCard) and not koenig else f"below {lam}"
     return Independent((
         f"mu-closedness of {lam} at {mu} is undecided and no mu-closed regular cardinal in "
-        f"({params.ls}, {lam}] is certified (missing: {missing})",
+        f"({params.ls}, {lam}] is certified (missing: SCH({mu}) {where})",
     ))
 
 

@@ -823,8 +823,8 @@ def test_a_long_adversarial_line_is_one_error_record_in_linear_time(line):
     assert elapsed < 5.0
 
 
-# Lines of the flat shape name(literal, ..., literal), and lines one step away from it, that only
-# the general path may read.
+# Flat lines, name(literal, ..., literal), and lines one step away from that shape, which only the
+# general path may read.
 FLAT_LINE_CASES = [
     "assume(aleph(1))", "Assume(aleph(1))", "true(aleph(1))", "TRUE(aleph(1))", "false(aleph(1))",
     "w(aleph(1))", "W(aleph(1))", "aleph_1(aleph(1))", "aleph_w(aleph(1))", "inacc(aleph(1))",
