@@ -9,10 +9,14 @@ notes; engine errors surface verbatim with verdict ``error``.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, TextIO
 
-from . import arithmetic, sizes, spectra
+try:
+    from _json import encode_basestring_ascii  # the C escaping json.encoder uses, without importing json
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
+import alephcalc as _pkg  # _pkg.sizes etc. import an entry module when a query first needs it
 from .cardinals import (
     Aleph,
     CardinalExpr,
@@ -111,14 +115,15 @@ def _coerce(name: str, i: int, kind: str, arg: Ast):
     raise QueryError(f"argument {i + 1} of {name} must be {_KIND_NAMES[kind]}")
 
 
-# Caveats every record of a shaped answer carries, after the caller's notes.
-_CAVEATS: dict[type, tuple[str, ...]] = {
-    sizes.SizeInterval: ("certified bounds only; the interval is not known to be tight",),
-    spectra.AtLeastCard: ("lower bound only; exactness is open",),
+# Caveats every record of a shaped answer carries, after the caller's notes, by the answer's class name,
+# so that building the table imports neither sizes nor spectra.
+_CAVEATS: dict[str, tuple[str, ...]] = {
+    "SizeInterval": ("certified bounds only; the interval is not known to be tight",),
+    "AtLeastCard": ("lower bound only; exactness is open",),
 }
 
 
-def _from_verdict(name: str, v: Verdict | sizes.SizeVerdict | spectra.CountValue, *,
+def _from_verdict(name: str, v: Verdict | _pkg.sizes.SizeVerdict | _pkg.spectra.CountValue, *,
                   independent_value: str | None = None,
                   notes: tuple[str, ...] = ()) -> QueryResult:
     """The record of any engine answer: a verdict, or a shaped size or count."""
@@ -132,7 +137,7 @@ def _from_verdict(name: str, v: Verdict | sizes.SizeVerdict | spectra.CountValue
         )
     value = v.value if isinstance(v, Determined) else v
     text = ("true" if value else "false") if isinstance(value, bool) else str(value)
-    return QueryResult(name, "determined", text, v.used, notes + _CAVEATS.get(type(v), ()))
+    return QueryResult(name, "determined", text, v.used, notes + _CAVEATS.get(type(v).__name__, ()))
 
 
 def _succ_str(c: CardinalExpr) -> str:
@@ -144,13 +149,13 @@ def _succ_str(c: CardinalExpr) -> str:
 
 
 def _internal_size(name, ctx, mu, ls, lam):
-    v = sizes.internal_size_of_cardinality(sizes.ClassParams(mu=mu, ls=ls), lam, ctx)
-    if isinstance(v, sizes.BelowLS):
+    v = _pkg.sizes.internal_size_of_cardinality(_pkg.sizes.ClassParams(mu=mu, ls=ls), lam, ctx)
+    if isinstance(v, _pkg.sizes.BelowLS):
         return _from_verdict(name, Determined(f"<={ls}"),
                              notes=(f"presentability rank at most {_succ_str(ls)}",))
     if isinstance(v, Determined):
         notes = (f"presentability rank {_succ_str(v.value)}",)
-    elif isinstance(v, sizes.TwoCandidates):
+    elif isinstance(v, _pkg.sizes.TwoCandidates):
         notes = (f"presentability rank {_succ_str(v.lo)} or {_succ_str(v.hi)}",)
     else:
         notes = ()
@@ -158,25 +163,25 @@ def _internal_size(name, ctx, mu, ls, lam):
 
 
 def _existence_window(name, ctx, mu, lam):
-    lo, hi = sizes.existence_window(mu, lam, ctx)
+    lo, hi = _pkg.sizes.existence_window(mu, lam, ctx)
     if isinstance(hi, Determined):
         hi = Determined(f"[{lo}, {hi.value}]", hi.used)
     return _from_verdict(name, hi, independent_value=f"[{lo}, {lo}^<{mu}]")
 
 
 def _existence_at(name, ctx, mu, ls, lam, intersections):
-    params = sizes.ClassParams(mu=mu, ls=ls, admits_intersections=intersections,
-                               arbitrarily_large_models=True)
-    return _from_verdict(name, sizes.existence_at(params, lam, ctx))
+    params = _pkg.sizes.ClassParams(mu=mu, ls=ls, admits_intersections=intersections,
+                                    arbitrarily_large_models=True)
+    return _from_verdict(name, _pkg.sizes.existence_at(params, lam, ctx))
 
 
 def _no_model_rule(name, ctx, mu, ls, lam, gap_lo, gap_hi, categorical):
-    params = sizes.ClassParams(mu=mu, ls=ls)
-    facts = sizes.SpectrumFacts(
+    params = _pkg.sizes.ClassParams(mu=mu, ls=ls)
+    facts = _pkg.sizes.SpectrumFacts(
         no_models_in_cardinality_interval=(gap_lo, gap_hi),
         categorical_in_cardinality=categorical,
     )
-    return _from_verdict(name, sizes.no_model_of_internal_size(params, lam, facts, ctx))
+    return _from_verdict(name, _pkg.sizes.no_model_of_internal_size(params, lam, facts, ctx))
 
 
 # Every query: its argument kinds in order ('card', 'ord' or 'bool') and a
@@ -188,35 +193,35 @@ QUERIES: dict[str, tuple[tuple[str, ...], Callable[..., QueryResult]]] = {
     "lambda_r": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(lambda_r(c)))),
     "lambda_star": (("card",), lambda n, ctx, c: _from_verdict(n, Determined(lambda_star(c)))),
     "closed": (("card", "card"), lambda n, ctx, lam, mu:
-               _from_verdict(n, arithmetic.is_mu_closed(lam, mu, ctx))),
+               _from_verdict(n, _pkg.arithmetic.is_mu_closed(lam, mu, ctx))),
     "almost_closed": (("card", "card"), lambda n, ctx, lam, mu:
-                      _from_verdict(n, arithmetic.is_almost_mu_closed(lam, mu, ctx))),
+                      _from_verdict(n, _pkg.arithmetic.is_almost_mu_closed(lam, mu, ctx))),
     "exp_lt": (("card", "card"), lambda n, ctx, lam, mu:
-               _from_verdict(n, arithmetic.exp_lt(lam, mu, ctx), independent_value=f"{lam}^<{mu}")),
+               _from_verdict(n, _pkg.arithmetic.exp_lt(lam, mu, ctx), independent_value=f"{lam}^<{mu}")),
     "two_lt": (("card",), lambda n, ctx, mu:
-               _from_verdict(n, arithmetic.two_lt(mu, ctx), independent_value=f"2^<{mu}")),
+               _from_verdict(n, _pkg.arithmetic.two_lt(mu, ctx), independent_value=f"2^<{mu}")),
     "triangle": (("card", "card"), lambda n, ctx, mu, lam:
-                 _from_verdict(n, arithmetic.triangle(mu, lam, ctx))),
+                 _from_verdict(n, _pkg.arithmetic.triangle(mu, lam, ctx))),
     "l_cf": (("card",), lambda n, ctx, lam: _from_verdict(n, l_cofinality(lam, ctx))),
     "colimit_bound": (("card", "card"), lambda n, ctx, index, sup:
-                      _from_verdict(n, Determined(sizes.colimit_presentability_bound(index, sup)))),
+                      _from_verdict(n, Determined(_pkg.sizes.colimit_presentability_bound(index, sup)))),
     "internal_size": (("card", "card", "card"), _internal_size),
     "rank_excluded": (("card", "card"), lambda n, ctx, theta, mu:
-                      _from_verdict(n, sizes.rank_excluded_at(theta, mu, ctx))),
+                      _from_verdict(n, _pkg.sizes.rank_excluded_at(theta, mu, ctx))),
     "existence_window": (("card", "card"), _existence_window),
     "existence_at": (("card", "card", "card", "bool"), _existence_at),
     "no_model_rule": (("card",) * 6, _no_model_rule),
     "hilbert_card": (("card",), lambda n, ctx, lam:
-                     _from_verdict(n, spectra.hilbert_count_by_cardinality(lam, ctx),
+                     _from_verdict(n, _pkg.spectra.hilbert_count_by_cardinality(lam, ctx),
                                    notes=("counting infinite-dimensional spaces only",))),
     "hilbert_internal": (("card",), lambda n, ctx, lam:
-                         _from_verdict(n, spectra.hilbert_count_by_internal_size(lam))),
+                         _from_verdict(n, _pkg.spectra.hilbert_count_by_internal_size(lam))),
     "wo_size": (("ord", "card"), lambda n, ctx, alpha, lam:
-                _from_verdict(n, Determined(spectra.wellorder_internal_size(*alpha, lam)))),
+                _from_verdict(n, Determined(_pkg.spectra.wellorder_internal_size(*alpha, lam)))),
     "shelah_card": (("card", "card"), lambda n, ctx, mu, lam:
-                    _from_verdict(n, spectra.shelah_count_by_cardinality(mu, lam, ctx))),
+                    _from_verdict(n, _pkg.spectra.shelah_count_by_cardinality(mu, lam, ctx))),
     "shelah_internal": (("card", "card"), lambda n, ctx, mu, lam:
-                        _from_verdict(n, spectra.shelah_count_by_internal_size(mu, lam, ctx))),
+                        _from_verdict(n, _pkg.spectra.shelah_count_by_internal_size(mu, lam, ctx))),
 }
 
 QUERY_SIGNATURES: dict[str, tuple[str, ...]] = {name: kinds for name, (kinds, _) in QUERIES.items()}

@@ -194,3 +194,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("stmt, loaded", [
+    ("cf(aleph(1))", []),
+    ("exp_lt(aleph(w), aleph(1))", ["alephcalc.arithmetic"]),
+    ("shelah_card(aleph(1), aleph(w+1))", ["alephcalc.spectra"]),
+])
+def test_an_eval_process_loads_only_the_entry_modules_its_statement_needs(stmt, loaded):
+    # Every module an eval process imports is compiled in it when no bytecode is cached.
+    code = ("import contextlib, io, sys, alephcalc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = alephcalc.cli.main(['eval', '-e', {stmt!r}, '--json'])\n"
+            "names = {'alephcalc.arithmetic', 'alephcalc.sizes', 'alephcalc.spectra', 'json'}\n"
+            "print(status, sorted(names & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == f"0 {loaded}\n"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alephcalc import build_context, exp_lt, internal_size_of_cardinality
+from alephcalc import build_context, evaluator, exp_lt, internal_size_of_cardinality
 from alephcalc.cardinals import ALEPH0, ALEPH1, ALEPH2, Aleph, LimitCard, SuccessorCard, aleph
 from alephcalc.dsl import (
     Assume,
@@ -251,3 +251,10 @@ def test_a_json_line_is_the_json_dumps_of_its_fields(query, verdict, value, used
     expected = json.dumps({"query": query, "verdict": verdict, "value": value,
                            "assumptions_used": list(used), "notes": list(notes)})
     assert result.to_json_line() == expected
+
+
+def test_a_json_line_escapes_with_the_function_json_dumps_uses():
+    # So the property test above checks the escaping that records go through.
+    c_json = pytest.importorskip("_json")
+    assert evaluator.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+    assert evaluator.encode_basestring_ascii is c_json.encode_basestring_ascii
