@@ -55,7 +55,7 @@ def _cmd_repl(args, ctx, parser) -> int:
 
 def _cmd_batch(args, ctx, parser) -> int:
     try:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as err:
         parser.error(f"cannot read {args.file}: {err}")

@@ -30,11 +30,8 @@ malformed line always becomes a ``syntax error`` record, never a crash.
 
 ``parse`` reads an ``aleph(...)`` literal of at most four levels of
 parentheses as one token and looks its value up by the literal's exact text
-in a table the caller may keep across calls.  A flat line, a query whose
-arguments are all such literals (``NAME '(' literal (',' literal)* ')'``),
-is read without the grammar walk: each literal goes straight to the index
-rule.  A line that does not parse so is read again token by token, so its
-error does not depend on the table.
+in a table the caller may keep across calls.  A line that does not parse so
+is read again token by token, so its error does not depend on the table.
 """
 
 from __future__ import annotations
@@ -271,21 +268,6 @@ class _Parser:
     # statements
 
     def session(self) -> Ast:
-        # A flat line, ident ( literal (, literal)* ) eof, is read as arg() would read it but without
-        # its grammar walk: each literal goes to index_expr at the depth of a query argument.  Its
-        # literals sit at the even indexes 2 to n - 3, with a comma between each two.
-        kinds, name = self.kinds, self.texts[0]
-        n = len(kinds)
-        if (n >= 5 and kinds[0] == "ident" and kinds[1] == "(" and kinds[-2] == ")"
-                and kinds[2:-2:2].count("literal") == n // 2 - 1 and kinds[3:-2:2].count(",") == n // 2 - 2
-                and name.lower() not in ("assume", "true", "false") and name != "w"
-                and not _CARDINAL_WORD.fullmatch(name)):
-            self.depth = 1
-            args = []
-            for i in range(2, n - 2, 2):
-                self.pos = i
-                args.append(self.index_expr())
-            return Query(name, tuple(args))
         items = [self.statement()]
         while self.accept(";"):
             items.append(self.statement())
@@ -466,10 +448,8 @@ def parse(text: str, literals: dict[str, tuple[Aleph, int]] | None = None) -> As
     """The AST of ``text``.  ``literals`` is a table of aleph(...) values the caller keeps across
     calls, empty at first; without one the call uses a fresh table.  The result does not depend on
     the table: each aleph(...) literal of at most four levels of parentheses is one token, looked up
-    by its exact text.  A flat line, ``NAME(literal, ..., literal)`` with a NAME that is not a
-    keyword, ``w`` or a cardinal word, skips the grammar walk.  A line that does not parse so is read
-    again token by token, which raises its error with the message, line and column of a token-level
-    parse."""
+    by its exact text.  A line that does not parse so is read again token by token, which raises its
+    error with the message, line and column of a token-level parse."""
     tokens = _scan(text, _LITERAL_TOKEN)
     try:
         return _Parser(text, tokens, {} if literals is None else literals).session()

@@ -120,16 +120,14 @@ def internal_size_of_cardinality(
     mu = params.mu
     # Every cardinal asked about here exceeds LS(K) >= mu, and ClassParams checked that mu is
     # regular, so the lookups need no level check.
-    used = _mu_closed(lam, mu, ctx)
-    if used is not None:
-        return Determined(lam, used)
+    if mu == ALEPH0:  # every lam is aleph(0)-closed; card_index_classify would raise on a plain atom
+        return Determined(lam, ())
     kind = card_index_classify(lam)
     # Koenig: lam is the successor of a cardinal of cofinality below mu, so it is not mu-closed.
     koenig = isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu
-    if koenig:
-        used = _sch_below(ctx, mu, lam)
-        if used is not None:
-            return TwoCandidates(kind.pred, lam, used)
+    used = _sch_below(ctx, mu, lam)
+    if used is not None:
+        return TwoCandidates(kind.pred, lam, used) if koenig else Determined(lam, used)
     # Fall back to the largest context-certified mu-closed regular cardinal
     # <= lam as a lower bound; the class's own LST axiom is deliberately not
     # used as a closure fact (for some parameters it is itself independent).

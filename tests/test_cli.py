@@ -113,6 +113,15 @@ class TestBatch:
         assert out.stdout == "" and f"cannot read {script}: 'utf-8' codec can't decode" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_a_byte_order_mark_at_the_start_of_a_file_is_not_read_as_text(self, tmp_path):
+        plain, marked = tmp_path / "plain.acq", tmp_path / "marked.acq"
+        plain.write_bytes(b"cf(aleph(1))\nassume GCH\nexp_lt(aleph(w), aleph(1))\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run_cli("batch", str(plain), "--json")
+        out = run_cli("batch", str(marked), "--json")
+        assert (out.returncode, out.stdout, out.stderr) == (0, expected.stdout, "")
+        assert json.loads(out.stdout.splitlines()[0])["query"] == "cf(aleph(1))"
+
     def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path):
         script = tmp_path / "big.acq"
         script.write_text("".join(f"cf(aleph({i}))\n" for i in range(20_000)))  # far more than a pipe holds

