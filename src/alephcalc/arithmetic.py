@@ -31,12 +31,12 @@ from .hypotheses import (
     is_false,
     sch_holds_at,
 )
-from .ordinals import Ordering
+from .ordinals import _EQUAL, _GREATER, _LESS
 
 
 def two_lt(mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
     """2^{<mu}.  aleph_0 unconditionally for mu = aleph_0; mu itself under GCH."""
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return Determined(ALEPH0)
     if ctx.gch:
         return Determined(mu, ("GCH",))
@@ -57,7 +57,7 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
     cardinal of cofinality below mu.  The second conjunct refutes on its own.
     """
     require_level(mu, lam)
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return Determined(True)
     kind = card_index_classify(lam)
     if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
@@ -68,7 +68,7 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
 def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[str, ...] | None:
     """``used`` of a true ``is_mu_closed(lam, mu, ctx)``, or None; builds no verdict and no
     text.  The caller has checked ``require_level(mu, lam)``."""
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return ()
     kind = card_index_classify(lam)
     if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
@@ -79,7 +79,7 @@ def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> t
 def _exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[CardinalExpr, tuple[str, ...]] | None:
     """``(value, used)`` of lam^{<mu} when ctx settles it, or None; builds no verdict and no
     text.  The caller has checked that mu is regular and lam >= mu."""
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return lam, ()
     value = lam if cofinality(lam) >= mu else successor(lam)
     used = _covering(ctx, mu, value)  # value >= lam >= mu: no level check needed
@@ -94,7 +94,7 @@ def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdi
     the case is kept visible rather than silently extended.
     """
     require_regular(mu)
-    if card_compare(lam, mu) is Ordering.LESS:
+    if card_compare(lam, mu) is _LESS:
         if ctx.gch:
             return Determined(mu, ("GCH",))
         return Independent((f"GCH (to evaluate {lam}^<{mu} with {lam} < {mu})",))
@@ -112,9 +112,9 @@ def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Ver
     require_regular(mu)
     require_regular(lam, "lam")
     cmp = card_compare(mu, lam)
-    if cmp is Ordering.GREATER:
+    if cmp is _GREATER:
         raise ValueError("mu must be at most lam")
-    if cmp is Ordering.EQUAL:
+    if cmp is _EQUAL:
         return Determined(True)
     closed = is_mu_closed(lam, mu, ctx)
     if not is_false(closed):

@@ -24,8 +24,11 @@ from .ordinals import (
     CnfOrdinal,
     Ordering,
     Successor,
+    _EQUAL,
+    _GREATER,
     _HashConsed,
     _interned,
+    _LESS,
     _Record,
     _set,
     cnf_add,
@@ -49,16 +52,16 @@ class CardinalExpr:
     __slots__ = ()
 
     def __lt__(self, other: "CardinalExpr") -> bool:
-        return card_compare(self, other) is Ordering.LESS
+        return card_compare(self, other) is _LESS
 
     def __le__(self, other: "CardinalExpr") -> bool:
-        return card_compare(self, other) is not Ordering.GREATER
+        return card_compare(self, other) is not _GREATER
 
     def __gt__(self, other: "CardinalExpr") -> bool:
-        return card_compare(self, other) is Ordering.GREATER
+        return card_compare(self, other) is _GREATER
 
     def __ge__(self, other: "CardinalExpr") -> bool:
-        return card_compare(self, other) is not Ordering.LESS
+        return card_compare(self, other) is not _LESS
 
 
 class Aleph(CardinalExpr, _HashConsed):
@@ -71,7 +74,7 @@ class Aleph(CardinalExpr, _HashConsed):
         if self.base is not None:
             if not isinstance(self.base, Aleph):
                 raise ValueError("index base must be an aleph (atoms are their own fixed points)")
-            if self.base.base is None and self.base.tail.is_zero:
+            if self.base.base is None and self.base.tail is ORD_ZERO:
                 # aleph_0's initial ordinal is the plain CNF ordinal w; using it
                 # as a base would break representation uniqueness.
                 raise ValueError("index base must be uncountable; write a countable index as a CNF tail")
@@ -104,7 +107,7 @@ def index_text(base: CardinalExpr | None, tail: CnfOrdinal) -> str:
     """The aleph index base + tail as the DSL writes it."""
     if base is None:
         return str(tail)
-    if tail.is_zero:
+    if tail is ORD_ZERO:
         return str(base)
     return f"{base}+{tail}"
 
@@ -128,21 +131,21 @@ def initial_ordinal(c: CardinalExpr) -> tuple[CardinalExpr | None, CnfOrdinal]:
 def card_compare(a: CardinalExpr, b: CardinalExpr) -> Ordering:
     """Total order agreeing with true cardinal order on the aleph fragment."""
     if a is b:
-        return Ordering.EQUAL
+        return _EQUAL
     if isinstance(a, CardinalAtom) or isinstance(b, CardinalAtom):
         if not isinstance(a, CardinalAtom):
-            return Ordering.LESS
+            return _LESS
         if not isinstance(b, CardinalAtom):
-            return Ordering.GREATER
+            return _GREATER
         # Distinct atoms: by name, then by flag.
         ka, kb = (a.name, a.weakly_inaccessible), (b.name, b.weakly_inaccessible)
-        return Ordering.LESS if ka < kb else Ordering.GREATER
+        return _LESS if ka < kb else _GREATER
     assert isinstance(a, Aleph) and isinstance(b, Aleph)
     # Alephs are interned: the first field that is not the same object decides.
     if a.base is not b.base:
         if a.base is None or b.base is None:
             # An uncountable base exceeds every countable bare tail.
-            return Ordering.GREATER if a.base is not None else Ordering.LESS
+            return _GREATER if a.base is not None else _LESS
         return card_compare(a.base, b.base)
     return cnf_compare(a.tail, b.tail)
 
@@ -189,14 +192,15 @@ def cofinality(c: CardinalExpr) -> CardinalExpr:
             return c
         raise UnclassifiedAtomError("unclassified atom")
     assert isinstance(c, Aleph)
-    if c.tail.is_zero:
+    tail = c.tail
+    if tail is ORD_ZERO:
         return ALEPH0 if c.base is None else cofinality(c.base)
     # A successor index is regular; a nonzero limit tail is countable: cofinality omega.
-    return c if c.tail.terms[-1][0].is_zero else ALEPH0
+    return c if tail.terms[-1][0] is ORD_ZERO else ALEPH0
 
 
 def is_regular(c: CardinalExpr) -> bool:
-    return cofinality(c) == c
+    return cofinality(c) is c
 
 
 def require_regular(c: CardinalExpr, what: str = "mu") -> None:
@@ -228,4 +232,4 @@ def lambda_star(c: CardinalExpr) -> CardinalExpr:
 
 
 def card_max(a: CardinalExpr, b: CardinalExpr) -> CardinalExpr:
-    return b if card_compare(a, b) is Ordering.LESS else a
+    return b if card_compare(a, b) is _LESS else a

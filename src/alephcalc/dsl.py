@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, TypeVar, Union
 
 from .cardinals import ALEPH0, IDENT, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
-from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, Ordering, _Record, _set, cnf_sum, from_int, omega_power
+from .ordinals import OMEGA, ORD_ONE, ORD_ZERO, CnfOrdinal, _LESS, _Record, _set, cnf_sum, from_int, omega_power
 
 # Deeper input would exhaust the interpreter's stack in the engine or the
 # formatter; a probe found both safe to about 160 levels of w^.
@@ -350,12 +350,12 @@ class _Parser:
                 terms.append(self.omega_term())
             elif kind == "literal" or kind == "ident" and _CARDINAL_WORD.fullmatch(text):
                 card = self.cardinal_primary()
-                if card == ALEPH0:
+                if card is ALEPH0:
                     # In a composite index aleph_0 contributes its initial
                     # ordinal w; standing alone it stays the cardinal.
                     terms.append((ORD_ONE, 1))
                 else:
-                    if base is not None and card_compare(base, card) is not Ordering.LESS:
+                    if base is not None and card_compare(base, card) is not _LESS:
                         raise self.fail("a cardinal term dominating the preceding ones", at=i)
                     base = card
                     terms = []

@@ -49,7 +49,8 @@ from .hypotheses import (
     HypothesisContext,
     Independent,
     Verdict,
-    ZeroSharp,
+    _EXISTS,
+    _NOT_EXISTS,
     extend_context,
     l_cofinality,
 )
@@ -234,7 +235,7 @@ def apply_assumption(ctx: HypothesisContext, item: Assumption) -> HypothesisCont
     if isinstance(item, AssumeVEqualsL):
         return extend_context(ctx, v_equals_l=True)
     if isinstance(item, AssumeSharp):
-        return extend_context(ctx, zero_sharp=ZeroSharp.EXISTS if item.exists else ZeroSharp.NOT_EXISTS)
+        return extend_context(ctx, zero_sharp=_EXISTS if item.exists else _NOT_EXISTS)
     return extend_context(ctx, sch=(item,))
 
 

@@ -33,7 +33,7 @@ from .cardinals import (
     require_regular,
     successor,
 )
-from .ordinals import Ordering, _Record, _set
+from .ordinals import _GREATER, _Record, _set
 
 T = TypeVar("T")
 
@@ -76,14 +76,14 @@ def is_false(v: "Verdict[bool]") -> bool:
 class CardinalInterval(_Record):
     __slots__ = ("lo", "hi")
     def __init__(self, lo: CardinalExpr, hi: CardinalExpr) -> None:
-        if card_compare(lo, hi) is Ordering.GREATER:
+        if card_compare(lo, hi) is _GREATER:
             raise ValueError("interval endpoints out of order")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.lo is self.hi
 
     def __str__(self) -> str:
         return str(self.lo) if self.is_point else f"[{self.lo}, {self.hi}]"
@@ -141,6 +141,10 @@ class ZeroSharp(enum.Enum):
     UNKNOWN = "unknown"
 
 
+# Read in function bodies instead of ``ZeroSharp.X``, as ``ordinals`` does for ``Ordering``.
+_EXISTS, _NOT_EXISTS, _UNKNOWN = ZeroSharp.EXISTS, ZeroSharp.NOT_EXISTS, ZeroSharp.UNKNOWN
+
+
 class HypothesisContext(_Record):
     """Declared flags, deductively closed at construction; inconsistent ones raise.
     ``sch`` may be any iterable of instances; it is kept sorted and deduplicated."""
@@ -149,9 +153,9 @@ class HypothesisContext(_Record):
     def __init__(self, gch: bool = False, v_equals_l: bool = False,
                  zero_sharp: ZeroSharp = ZeroSharp.UNKNOWN, sch: Iterable[SchAssumption] = ()) -> None:
         if v_equals_l:
-            if zero_sharp is ZeroSharp.EXISTS:
+            if zero_sharp is _EXISTS:
                 raise InconsistentContextError("inconsistent context: V=L implies 0# does not exist")
-            gch, zero_sharp = True, ZeroSharp.NOT_EXISTS
+            gch, zero_sharp = True, _NOT_EXISTS
         canon = tuple(sorted(set(sch), key=lambda a: (str(a.mu), type(a.scope).__name__, str(a.scope))))
         for a in canon:
             require_regular(a.mu)
@@ -166,9 +170,9 @@ class HypothesisContext(_Record):
             parts.append("V=L")
         if self.gch:
             parts.append("GCH")
-        if self.zero_sharp is ZeroSharp.EXISTS:
+        if self.zero_sharp is _EXISTS:
             parts.append("sharp")
-        elif self.zero_sharp is ZeroSharp.NOT_EXISTS:
+        elif self.zero_sharp is _NOT_EXISTS:
             parts.append("no-sharp")
         parts.extend(a.describe() for a in self.sch)
         return ", ".join(parts) if parts else "(none)"
@@ -188,8 +192,8 @@ def extend_context(
 ) -> HypothesisContext:
     """Fold further assumptions into ctx (forward-only; conflicts raise; adding nothing returns ctx)."""
     zs = ctx.zero_sharp
-    if zero_sharp is not ZeroSharp.UNKNOWN:
-        if zs is not ZeroSharp.UNKNOWN and zs is not zero_sharp:
+    if zero_sharp is not _UNKNOWN:
+        if zs is not _UNKNOWN and zs is not zero_sharp:
             raise InconsistentContextError("inconsistent context: 0# cannot both exist and not exist")
         zs = zero_sharp
     new = HypothesisContext(ctx.gch or gch, ctx.v_equals_l or v_equals_l, zs, ctx.sch + tuple(sch))
@@ -207,13 +211,13 @@ def _scope_covers(a: SchAssumption, card: CardinalExpr) -> bool:
         return card in scope.cards
     # An unbounded-below-s scope pins a point only when s is a successor: the
     # sole unbounded set of cardinals below s has maximum pred(s).
-    return isinstance(card, Aleph) and successor(card) == scope.limit
+    return isinstance(card, Aleph) and successor(card) is scope.limit
 
 
 def _covering(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> tuple[str, ...] | None:
     """``used`` of the rule by which ctx entails that card is almost mu-closed, or None.
     Builds no verdict and no text; the caller has checked ``require_level(mu, card)``."""
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return ()
     if ctx.gch:
         return ("GCH",)
@@ -244,7 +248,7 @@ def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr
 def _sch_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> tuple[str, ...] | None:
     """``used`` of the rule by which ctx entails SCH_{mu,lam}, or None.
     Builds no verdict and no text; the caller has checked ``require_level(mu, lam)``."""
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return ()
     if ctx.gch:
         return ("GCH",)
@@ -258,7 +262,7 @@ def _sch_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> t
             continue
         for a in run:
             scope = a.scope
-            if isinstance(scope, UnboundedBelow) and scope.limit == lam:
+            if isinstance(scope, UnboundedBelow) and scope.limit is lam:
                 return (a.describe(),)
             if isinstance(scope, AtLeast) and card_max(scope.threshold, level) < lam:
                 return (a.describe(),)
@@ -289,10 +293,10 @@ def l_cofinality(lam: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalI
     cf = cofinality(lam)
     if ctx.v_equals_l:
         return Determined(CardinalInterval(cf, cf), ("V=L",))
-    if cf == lam:
+    if cf is lam:
         return Determined(CardinalInterval(lam, lam))
-    if ctx.zero_sharp is ZeroSharp.EXISTS:
+    if ctx.zero_sharp is _EXISTS:
         return Determined(CardinalInterval(lam, lam), ("sharp",))
-    if ctx.zero_sharp is ZeroSharp.NOT_EXISTS:
+    if ctx.zero_sharp is _NOT_EXISTS:
         return Determined(CardinalInterval(cf, card_max(cf, ALEPH1)), ("no-sharp",))
     return Independent(("the status of 0# (assume sharp or no-sharp)",))

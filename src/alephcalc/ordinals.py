@@ -5,6 +5,12 @@ strictly decreasing exponents and coefficients >= 1; the empty sequence is 0.
 The representation is unique, and values are interned: equal ordinals are
 one object.  These ordinals index alephs and carry the exponent arithmetic
 the cardinal layer needs; multiplication and exponentiation are absent.
+
+The engine compares two interned values with ``is``, never ``==``, which
+would dispatch through the Python-level comparison slot of the class.
+Function bodies read ``Ordering`` members from the module constants
+``_LESS``, ``_EQUAL`` and ``_GREATER``, since on Python 3.10 and 3.11 a
+read through an enum class goes through ``EnumType.__getattr__``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ class Ordering(enum.Enum):
     EQUAL = 0
     GREATER = 1
 
+
+_LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
 
 _TABLE: dict[tuple, _Ref] = {}
 _LOCK = threading.Lock()
@@ -117,7 +125,7 @@ class CnfOrdinal(_HashConsed):
         for exp, coeff in self.terms:
             if not isinstance(exp, CnfOrdinal) or coeff < 1:
                 raise ValueError("CNF term needs a CnfOrdinal exponent and coefficient >= 1")
-            if prev is not None and cnf_compare(exp, prev) is not Ordering.LESS:
+            if prev is not None and cnf_compare(exp, prev) is not _LESS:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
 
@@ -141,16 +149,16 @@ class CnfOrdinal(_HashConsed):
         return self.terms[0][1] if self.terms else 0
 
     def __lt__(self, other: "CnfOrdinal") -> bool:
-        return cnf_compare(self, other) is Ordering.LESS
+        return cnf_compare(self, other) is _LESS
 
     def __le__(self, other: "CnfOrdinal") -> bool:
-        return cnf_compare(self, other) is not Ordering.GREATER
+        return cnf_compare(self, other) is not _GREATER
 
     def __gt__(self, other: "CnfOrdinal") -> bool:
-        return cnf_compare(self, other) is Ordering.GREATER
+        return cnf_compare(self, other) is _GREATER
 
     def __ge__(self, other: "CnfOrdinal") -> bool:
-        return cnf_compare(self, other) is not Ordering.LESS
+        return cnf_compare(self, other) is not _LESS
 
     def __add__(self, other: "CnfOrdinal") -> "CnfOrdinal":
         return cnf_add(self, other)
@@ -190,13 +198,13 @@ def cnf_compare(a: CnfOrdinal, b: CnfOrdinal) -> Ordering:
     """Total order on CNF ordinals: lexicographic on (exponent, coefficient).
     Distinct interned objects are unequal, so no equal pair is walked."""
     if a is b:
-        return Ordering.EQUAL
+        return _EQUAL
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         if ea is not eb:
             return cnf_compare(ea, eb)
         if ca != cb:
-            return Ordering.LESS if ca < cb else Ordering.GREATER
-    return Ordering.LESS if len(a.terms) < len(b.terms) else Ordering.GREATER
+            return _LESS if ca < cb else _GREATER
+    return _LESS if len(a.terms) < len(b.terms) else _GREATER
 
 
 def cnf_sum(*terms: tuple[CnfOrdinal, int]) -> CnfOrdinal:
@@ -206,7 +214,7 @@ def cnf_sum(*terms: tuple[CnfOrdinal, int]) -> CnfOrdinal:
     for exp, coeff in terms:
         if not coeff:
             continue
-        while out and cnf_compare(out[-1][0], exp) is Ordering.LESS:
+        while out and cnf_compare(out[-1][0], exp) is _LESS:
             out.pop()
         if out and out[-1][0] is exp:
             out[-1] = (exp, out[-1][1] + coeff)
@@ -223,7 +231,7 @@ def cnf_add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     for i, (exp, c) in enumerate(a.terms):
         if exp is lead:
             return CnfOrdinal._raw(a.terms[:i] + ((lead, c + coeff),) + b.terms[1:])
-        if cnf_compare(exp, lead) is Ordering.LESS:
+        if cnf_compare(exp, lead) is _LESS:
             return CnfOrdinal._raw(a.terms[:i] + b.terms)
     return CnfOrdinal._raw(a.terms + b.terms)
 
@@ -250,7 +258,7 @@ def ord_classify(a: CnfOrdinal) -> OrdinalKind:
     if not a.terms:
         return Zero()
     exp, coeff = a.terms[-1]
-    if not exp.is_zero:
+    if exp is not ORD_ZERO:
         return Limit()
     last = ((exp, coeff - 1),) if coeff > 1 else ()
     return Successor(CnfOrdinal._raw(a.terms[:-1] + last))

@@ -37,7 +37,7 @@ from .hypotheses import (
     _sch_below,
 )
 from .arithmetic import _exp_lt, _mu_closed, exp_lt, is_mu_closed
-from .ordinals import Ordering, _Record, _set
+from .ordinals import _GREATER, _Record, _set
 
 
 class ClassParams(_Record):
@@ -66,7 +66,7 @@ class BelowLS(_Record):
 class TwoCandidates(_Record):
     __slots__ = ("lo", "hi", "used")
     def __init__(self, lo: CardinalExpr, hi: CardinalExpr, used: tuple[str, ...] = ()) -> None:
-        if hi != successor(lo):
+        if hi is not successor(lo):
             raise ValueError("candidates must be a cardinal and its successor")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
@@ -79,7 +79,7 @@ class TwoCandidates(_Record):
 class SizeInterval(_Record):
     __slots__ = ("lo", "hi", "tight", "used")
     def __init__(self, lo: CardinalExpr, hi: CardinalExpr, tight: bool = False, used: tuple[str, ...] = ()) -> None:
-        if card_compare(lo, hi) is Ordering.GREATER:
+        if card_compare(lo, hi) is _GREATER:
             raise ValueError("interval endpoints out of order")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
@@ -105,7 +105,7 @@ class SpectrumFacts(_Record):
     def __init__(self, no_models_in_cardinality_interval: tuple[CardinalExpr, CardinalExpr] | None = None,
                  categorical_in_cardinality: CardinalExpr | None = None) -> None:
         gap = no_models_in_cardinality_interval
-        if gap is not None and card_compare(gap[0], gap[1]) is Ordering.GREATER:
+        if gap is not None and card_compare(gap[0], gap[1]) is _GREATER:
             raise ValueError("gap endpoints out of order")
         _set(self, "no_models_in_cardinality_interval", gap)
         _set(self, "categorical_in_cardinality", categorical_in_cardinality)
@@ -120,7 +120,7 @@ def internal_size_of_cardinality(
     mu = params.mu
     # Every cardinal asked about here exceeds LS(K) >= mu, and ClassParams checked that mu is
     # regular, so the lookups need no level check.
-    if mu == ALEPH0:  # every lam is aleph(0)-closed; card_index_classify would raise on a plain atom
+    if mu is ALEPH0:  # every lam is aleph(0)-closed; card_index_classify would raise on a plain atom
         return Determined(lam, ())
     kind = card_index_classify(lam)
     # Koenig: lam is the successor of a cardinal of cofinality below mu, so it is not mu-closed.
@@ -167,7 +167,7 @@ def existence_window(
     """Window [lam, lam^{<mu}] of internal sizes guaranteed to be hit."""
     require_regular(mu)
     require_regular(lam, "lam")
-    if card_compare(mu, lam) is Ordering.GREATER:
+    if card_compare(mu, lam) is _GREATER:
         raise ValueError("mu must be at most lam")
     return lam, exp_lt(lam, mu, ctx)
 
@@ -190,20 +190,20 @@ def no_model_of_internal_size(
     """Gap in [lam, lam^{<mu}) plus categoricity at lam^{<mu} rules out size lam."""
     if not lam > params.ls:
         raise ValueError("lam must exceed LS(K)")
-    if params.mu == ALEPH0:
+    if params.mu is ALEPH0:
         # Only here does lam^{<mu} = lam hold with no assumption; elsewhere
         # the rule fails to apply only under the assumptions exp_lt names.
         raise ValueError("rule inapplicable: lam = lam^{<mu}")
     e = exp_lt(lam, params.mu, ctx)
     if isinstance(e, Independent):
         return e
-    if e.value == lam:
+    if e.value is lam:
         return Independent((f"rule inapplicable: {lam}^<{params.mu} = {lam}",), used=e.used)
     missing = []
     gap = facts.no_models_in_cardinality_interval
     if gap is None or not (gap[0] <= lam and e.value <= gap[1]):
         missing.append(f"the fact that K has no model with cardinality in [{lam}, {e.value})")
-    if facts.categorical_in_cardinality != e.value:
+    if facts.categorical_in_cardinality is not e.value:
         missing.append(f"categoricity of K in cardinality {e.value}")
     if missing:
         return Independent(tuple(missing), used=e.used)
@@ -225,14 +225,14 @@ def existence_at(
             # Intersections give all regular internal sizes >= mu outright.
             return Determined(True)
         e = _exp_lt(lam, mu, ctx)
-        if e is not None and e[0] == lam:
+        if e is not None and e[0] is lam:
             return Determined(True, e[1])
     used = _sch_below(ctx, mu, lam)
     if used is not None:
         if params.admits_intersections:
             return Determined(True, used)
         e = _exp_lt(lam, mu, ctx)
-        if e is not None and e[0] == lam:
+        if e is not None and e[0] is lam:
             return Determined(True, tuple(sorted(set(used) | set(e[1]))))
     return Independent(
         (

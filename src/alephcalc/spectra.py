@@ -35,11 +35,12 @@ from .hypotheses import (
     Determined,
     HypothesisContext,
     Independent,
-    ZeroSharp,
+    _EXISTS,
+    _NOT_EXISTS,
     _sch_below,
     l_cofinality,
 )
-from .ordinals import CnfOrdinal, Ordering, _Record, _set
+from .ordinals import CnfOrdinal, _EQUAL, _GREATER, _Record, _set
 
 
 class Finite(_Record):
@@ -98,10 +99,10 @@ def hilbert_count_by_cardinality(lam: CardinalExpr, ctx: HypothesisContext) -> C
             "count is |beta|+1 where lam^{aleph_0} = aleph_{alpha+beta} with alpha least "
             "such that aleph_alpha^{aleph_0} = lam^{aleph_0}; this needs the continuum function (assume GCH)",
         ))
-    if cofinality(lam) == ALEPH0:
+    if cofinality(lam) is ALEPH0:
         return ZeroCount(("GCH",))
     kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) == ALEPH0:
+    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) is ALEPH0:
         return Finite(2, ("GCH",))
     return Finite(1, ("GCH",))
 
@@ -127,7 +128,7 @@ def wellorder_internal_size(
     if alpha_base is not None and not isinstance(lam, CardinalAtom):
         lam_plus = successor(lam)
         cmp = card_compare(alpha_base, lam_plus)
-        if cmp is Ordering.GREATER or (cmp is Ordering.EQUAL and not alpha_tail.is_zero):
+        if cmp is _GREATER or (cmp is _EQUAL and not alpha_tail.is_zero):
             raise ValueError("outside class")
     # A nonzero CNF tail is a countable successor or limit: cofinality <= omega.
     return cofinality(alpha_base) if alpha_base is not None and alpha_tail.is_zero else ALEPH0
@@ -141,7 +142,7 @@ def _cond3_certified(mu: CardinalExpr, lam: CardinalExpr) -> bool:
     # L-cofinality below mu?  For mu = aleph_0 no infinite cardinal can have
     # smaller cofinality; for singular lam, covering pins (lam^+)^L = lam^+
     # with L-predecessor lam, whose L-cofinality the caller has pinned >= mu.
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         return True
     return not is_regular(lam)
 
@@ -157,12 +158,12 @@ def shelah_count_by_cardinality(
         if cofinality(lam) < mu:
             return Finite(1, ("V=L",))
         return Determined(lam_plus, ("V=L",))
-    if ctx.zero_sharp is ZeroSharp.EXISTS:
+    if ctx.zero_sharp is _EXISTS:
         return Determined(lam_plus, ("sharp",))
-    if ctx.zero_sharp is ZeroSharp.NOT_EXISTS:
+    if ctx.zero_sharp is _NOT_EXISTS:
         return _count_without_sharp(mu, lam)
     without = _count_without_sharp(mu, lam)
-    if isinstance(without, Determined) and without.value == lam_plus:
+    if isinstance(without, Determined) and without.value is lam_plus:
         # Both 0# branches agree, so the count is a ZFC fact at this point.
         return Determined(lam_plus)
     if isinstance(without, Independent):
@@ -172,7 +173,7 @@ def shelah_count_by_cardinality(
     return Independent((f"the status of 0# (with sharp: {lam_plus}; without: {shown})",))
 
 
-_NO_SHARP = HypothesisContext(zero_sharp=ZeroSharp.NOT_EXISTS)
+_NO_SHARP = HypothesisContext(zero_sharp=_NOT_EXISTS)
 
 
 def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
@@ -190,7 +191,7 @@ def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
     # cf(lam) = aleph_0, so cf^L(lam) is aleph_0 or aleph_1.
     if mu >= ALEPH2:
         return Finite(1, used)
-    if mu == ALEPH0:
+    if mu is ALEPH0:
         # cf^L >= aleph_0 trivially and condition (3) is automatic.
         return Determined(successor(lam), used)
     return Independent((

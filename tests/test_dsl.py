@@ -827,8 +827,7 @@ def test_a_long_adversarial_line_is_one_error_record_in_linear_time(line):
     assert elapsed < 5.0
 
 
-# Flat lines, name(literal, ..., literal), and lines one step away from that shape, which only the
-# general path may read.
+# Flat lines, name(literal, ..., literal), and lines one step away from that shape.
 FLAT_LINE_CASES = [
     "assume(aleph(1))", "Assume(aleph(1))", "true(aleph(1))", "TRUE(aleph(1))", "false(aleph(1))",
     "w(aleph(1))", "W(aleph(1))", "aleph_1(aleph(1))", "aleph_w(aleph(1))", "inacc(aleph(1))",
@@ -866,22 +865,22 @@ def _general_outcome(text):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(flat_lines(), min_size=1, max_size=12))
 @example(FLAT_LINE_CASES)
-def test_a_flat_line_parses_as_the_general_parser_reads_it(texts):
+def test_lines_sharing_a_literal_table_parse_as_read_token_by_token(texts):
     """With one literal table shared by the lines, each parses to the general parser's AST or error."""
     table = {}
     for text in texts:
         assert _parse_outcome(lambda: parse(text, table)) == _general_outcome(text), text
 
 
-@pytest.mark.parametrize("text, flat", [
+@pytest.mark.parametrize("text, literal_args", [
     ("cf(aleph(1))", True), ("cf(aleph(0))", True), ("hilbert_card(aleph(aleph(w+1)))", True),
     ("no_model_rule(aleph(1), aleph(1), aleph(w+1), aleph(2), aleph(3), aleph(4))", True),
     ("cf(aleph(w)+1)", False), ("W(aleph(1))", True), ("w(aleph(1))", False), ("TRUE(aleph(1))", False),
     ("assume(aleph(1))", False), ("inacc(aleph(1))", False), ("aleph_1(aleph(1))", False),
     ("f(aleph(1), true)", False), ("f(aleph(aleph(aleph(aleph(aleph(1))))))", False),
 ])
-def test_only_a_flat_line_skips_the_grammar_walk(text, flat):
-    """Each line, of the form ``NAME(literal, ..., literal)`` (``flat``) or not, parses with a
+def test_only_a_flat_line_skips_the_grammar_walk(text, literal_args):
+    """Each line, of the form ``NAME(literal, ..., literal)`` (``literal_args``) or not, parses with a
     literal table to the general parser's AST or error."""
     outcome = _parse_outcome(lambda: parse(text, {}))
     assert outcome == _general_outcome(text)
@@ -889,14 +888,14 @@ def test_only_a_flat_line_skips_the_grammar_walk(text, flat):
 
 @pytest.mark.parametrize("text", ["cf(aleph(1))", "hilbert_card(aleph(aleph(w+1)))",
                                   "no_model_rule(aleph(1), aleph(1), aleph(w+1), aleph(2), aleph(3), aleph(4))"])
-def test_a_flat_line_keeps_its_literals_as_the_grammar_walk_does(text):
-    """The literal table after a flat line holds what the grammar walk leaves: each value at the depth
-    of a query argument."""
-    flat, walked = {}, {}
-    parse(text, flat)
+def test_parse_leaves_the_literal_table_as_a_statement_walk_does(text):
+    """The literal table after ``parse`` holds what a walk from ``statement`` leaves: each value at
+    the depth of a query argument."""
+    parsed, walked = {}, {}
+    parse(text, parsed)
     parser = dsl._Parser(text, dsl._split(text, dsl._LITERAL_TOKEN), walked)
     assert parser.statement() == parse(text)
-    assert flat == walked and flat
+    assert parsed == walked and parsed
 
 
 def test_a_batch_parses_a_line_once_across_a_context_change(monkeypatch):
