@@ -12,9 +12,8 @@ from __future__ import annotations
 from .cardinals import (
     ALEPH0,
     CardinalExpr,
-    SuccessorCard,
+    _pred,
     card_compare,
-    card_index_classify,
     cofinality,
     require_level,
     require_regular,
@@ -50,6 +49,11 @@ def is_almost_mu_closed(
     return ctx_implies_sch(ctx, mu, lam)
 
 
+def _koenig(pred: CardinalExpr | None, mu: CardinalExpr) -> bool:
+    """Does Koenig refute that the successor of pred is mu-closed, cf(pred) < mu?  None is a limit."""
+    return pred is not None and cofinality(pred) < mu
+
+
 def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[bool]:
     """Is theta^{<mu} < lam for every infinite theta < lam?
 
@@ -57,12 +61,9 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
     cardinal of cofinality below mu.  The second conjunct refutes on its own.
     """
     require_level(mu, lam)
-    if mu is ALEPH0:
+    if mu is ALEPH0:  # every lam is aleph(0)-closed; _pred would raise on a plain atom
         return Determined(True)
-    kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
-        return Determined(False)
-    return sch_holds_at(ctx, mu, lam)
+    return Determined(False) if _koenig(_pred(lam), mu) else sch_holds_at(ctx, mu, lam)
 
 
 def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[str, ...] | None:
@@ -70,10 +71,7 @@ def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> t
     text.  The caller has checked ``require_level(mu, lam)``."""
     if mu is ALEPH0:
         return ()
-    kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu:
-        return None
-    return _sch_below(ctx, mu, lam)
+    return None if _koenig(_pred(lam), mu) else _sch_below(ctx, mu, lam)
 
 
 def _exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[CardinalExpr, tuple[str, ...]] | None:

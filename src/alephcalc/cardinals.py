@@ -23,22 +23,22 @@ from .ordinals import (
     ORD_ZERO,
     CnfOrdinal,
     Ordering,
-    Successor,
     _EQUAL,
     _GREATER,
     _HashConsed,
     _interned,
     _LESS,
     _Record,
+    _ord_pred,
     _set,
     cnf_add,
     cnf_compare,
     from_int,
-    ord_classify,
 )
 
 
-# Atom names are DSL identifiers: every atom prints as text that reads back to it.
+# Atom names are DSL identifiers, so inacc(name) reads back to its atom; a plain atom's
+# atom(name) text has no DSL form, and only the Python API builds one.
 IDENT = re.compile(r"[^\W\d]\w*")
 
 
@@ -163,19 +163,24 @@ class LimitCard(_Record):
 CardinalKind = SuccessorCard | LimitCard
 
 
+def _pred(c: CardinalExpr) -> CardinalExpr | None:
+    """The predecessor of a successor cardinal, or None for a limit cardinal (aleph_0 and
+    inacc(...) included); builds no record.  A plain atom is unclassified and raises."""
+    if isinstance(c, CardinalAtom):
+        if c.weakly_inaccessible:
+            return None
+        raise UnclassifiedAtomError("unclassified atom")
+    assert isinstance(c, Aleph)
+    # A zero tail is aleph_0 (no base) or the base cardinal's own initial
+    # ordinal; both are limit ordinals, as _ord_pred says.
+    pred = _ord_pred(c.tail)
+    return None if pred is None else Aleph(c.base, pred)
+
+
 def card_index_classify(a: CardinalExpr) -> CardinalKind:
     """Successor cardinal (with predecessor) or limit cardinal (incl. aleph_0)."""
-    if isinstance(a, CardinalAtom):
-        if a.weakly_inaccessible:
-            return LimitCard()
-        raise UnclassifiedAtomError("unclassified atom")
-    assert isinstance(a, Aleph)
-    kind = ord_classify(a.tail)
-    if isinstance(kind, Successor):
-        return SuccessorCard(Aleph(a.base, kind.pred))
-    # Zero tail means either aleph_0 (no base) or the base cardinal's own
-    # initial ordinal; both are limit ordinals.
-    return LimitCard()
+    pred = _pred(a)
+    return LimitCard() if pred is None else SuccessorCard(pred)
 
 
 def successor(c: CardinalExpr) -> CardinalExpr:
@@ -225,10 +230,7 @@ def lambda_star(c: CardinalExpr) -> CardinalExpr:
     """c^+ for successor cardinals, c itself for limit cardinals."""
     if isinstance(c, CardinalAtom):
         raise ValueError("star operator undefined on atoms")
-    kind = card_index_classify(c)
-    if isinstance(kind, SuccessorCard):
-        return successor(c)
-    return c
+    return c if _pred(c) is None else successor(c)
 
 
 def card_max(a: CardinalExpr, b: CardinalExpr) -> CardinalExpr:

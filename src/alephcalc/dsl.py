@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from typing import Callable, NamedTuple, TypeVar, Union
+from collections import namedtuple
+from collections.abc import Callable
 
 from .cardinals import ALEPH0, IDENT, Aleph, CardinalAtom, CardinalExpr, card_compare, index_text, initial_ordinal
 from .hypotheses import AtLeast, ExplicitSet, SchAssumption, SchScope, UnboundedBelow
@@ -52,8 +53,6 @@ MAX_NESTING = 64
 MAX_DIGITS = 4000
 # An error names at most this many characters of the token it stopped at.
 MAX_FOUND = 32
-
-T = TypeVar("T")
 
 
 def _clip(token: str) -> str:
@@ -116,7 +115,7 @@ class AssumeSharp(_Record):
 
 AssumeSch = SchAssumption
 
-Assumption = Union[AssumeGch, AssumeVEqualsL, AssumeSharp, AssumeSch]
+Assumption = AssumeGch | AssumeVEqualsL | AssumeSharp | AssumeSch
 
 
 class Assume(_Record):
@@ -131,17 +130,14 @@ class Session(_Record):
         _set(self, "items", items)
 
 
-Ast = Union[CardinalLiteral, OrdinalLiteral, BoolLiteral, Query, Assume, Session]
+Ast = CardinalLiteral | OrdinalLiteral | BoolLiteral | Query | Assume | Session
 
 
 # --- tokenizer ---------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # 'nat', 'ident', a symbol, or 'eof'
-    text: str
-    line: int
-    col: int
+# kind is 'nat', 'ident', a symbol, or 'eof'; line and col count from 1.
+Token = namedtuple("Token", ("kind", "text", "line", "col"))
 
 
 _TOKEN = re.compile(r"\d+|" + IDENT.pattern + r"|>=|[-(){},;+*^=]|\S")
@@ -256,7 +252,7 @@ class _Parser:
             raise self.fail(f"a number of at most {MAX_DIGITS} digits", at=i)
         return int(digits)
 
-    def nested(self, read: Callable[[], T]) -> T:
+    def nested(self, read: Callable[[], object]) -> object:
         """``read()`` one nesting level deeper, failing at its first token past the bound."""
         if self.depth == MAX_NESTING:
             raise self.fail(f"at most {MAX_NESTING} levels of nesting")

@@ -9,7 +9,8 @@ notes; engine errors surface verbatim with verdict ``error``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TextIO
+from collections.abc import Callable, Iterable
+from io import TextIOBase
 
 try:
     from _json import encode_basestring_ascii  # the C escaping json.encoder uses, without importing json
@@ -307,7 +308,7 @@ def evaluate_line(text: str, ctx: HypothesisContext,
     return [QueryResult(query, "error", None, (), (note,))], ctx
 
 
-def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIO, *, as_json: bool) -> int:
+def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIOBase, *, as_json: bool) -> int:
     """One record per query line; assume lines mutate the context forward-only.
 
     A repeated line is parsed once per call, across assume lines, and evaluated once per context.  A

@@ -15,18 +15,17 @@ consistently fail, so the engine models conditional theorems, not forcing.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from itertools import groupby
 from operator import attrgetter
-from typing import Generic, Iterable, TypeVar, Union
 
 from .cardinals import (
     ALEPH0,
     ALEPH1,
     Aleph,
     CardinalExpr,
-    SuccessorCard,
+    _pred,
     card_compare,
-    card_index_classify,
     card_max,
     cofinality,
     require_level,
@@ -35,16 +34,14 @@ from .cardinals import (
 )
 from .ordinals import _GREATER, _Record, _set
 
-T = TypeVar("T")
-
 
 class InconsistentContextError(ValueError):
     pass
 
 
-class Determined(_Record, Generic[T]):
+class Determined(_Record):
     __slots__ = ("value", "used")
-    def __init__(self, value: T, used: tuple[str, ...] = ()) -> None:
+    def __init__(self, value: object, used: tuple[str, ...] = ()) -> None:
         _set(self, "value", value)
         _set(self, "used", used)
 
@@ -62,14 +59,14 @@ class Independent(_Record):
         return "; ".join(self.missing)
 
 
-Verdict = Union[Determined[T], Independent]
+Verdict = Determined | Independent
 
 
-def is_true(v: "Verdict[bool]") -> bool:
+def is_true(v: Verdict[bool]) -> bool:
     return isinstance(v, Determined) and v.value is True
 
 
-def is_false(v: "Verdict[bool]") -> bool:
+def is_false(v: Verdict[bool]) -> bool:
     return isinstance(v, Determined) and v.value is False
 
 
@@ -122,7 +119,7 @@ class ExplicitSet(_Record):
         return "{" + ", ".join(str(c) for c in self.cards) + "}"
 
 
-SchScope = Union[AtLeast, UnboundedBelow, ExplicitSet]
+SchScope = AtLeast | UnboundedBelow | ExplicitSet
 
 
 class SchAssumption(_Record):
@@ -252,11 +249,11 @@ def _sch_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> t
         return ()
     if ctx.gch:
         return ("GCH",)
-    kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard):
+    pred = _pred(lam)
+    if pred is not None:
         # The only unbounded set of cardinals below a successor contains its
         # predecessor, so the statement degrades to a pointwise one.
-        return None if kind.pred < mu else _covering(ctx, mu, kind.pred)
+        return None if pred < mu else _covering(ctx, mu, pred)
     for level, run in groupby(ctx.sch, attrgetter("mu")):
         if level < mu:
             continue
@@ -277,9 +274,9 @@ def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) ->
     used = _sch_below(ctx, mu, lam)
     if used is not None:
         return Determined(True, used)
-    kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard) and kind.pred >= mu:
-        return Independent((f"SCH({mu}) at {kind.pred}",))
+    pred = _pred(lam)
+    if pred is not None and pred >= mu:
+        return Independent((f"SCH({mu}) at {pred}",))
     return Independent((f"SCH({mu}) below {lam}",))
 
 

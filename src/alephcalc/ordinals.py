@@ -253,12 +253,18 @@ class Limit(_Record):
 OrdinalKind = Zero | Successor | Limit
 
 
+def _ord_pred(a: CnfOrdinal) -> CnfOrdinal | None:
+    """The predecessor of a successor ordinal, or None for 0 or a limit; builds no record."""
+    terms = a.terms
+    if not terms or terms[-1][0] is not ORD_ZERO:
+        return None
+    coeff = terms[-1][1]
+    return CnfOrdinal._raw(terms[:-1] + (((ORD_ZERO, coeff - 1),) if coeff > 1 else ()))
+
+
 def ord_classify(a: CnfOrdinal) -> OrdinalKind:
     """Zero, Successor (with predecessor), or Limit."""
     if not a.terms:
         return Zero()
-    exp, coeff = a.terms[-1]
-    if exp is not ORD_ZERO:
-        return Limit()
-    last = ((exp, coeff - 1),) if coeff > 1 else ()
-    return Successor(CnfOrdinal._raw(a.terms[:-1] + last))
+    pred = _ord_pred(a)
+    return Limit() if pred is None else Successor(pred)

@@ -18,9 +18,8 @@ from .cardinals import (
     ALEPH0,
     CardinalAtom,
     CardinalExpr,
-    SuccessorCard,
+    _pred,
     card_compare,
-    card_index_classify,
     card_max,
     cofinality,
     is_regular,
@@ -36,7 +35,7 @@ from .hypotheses import (
     Verdict,
     _sch_below,
 )
-from .arithmetic import _exp_lt, _mu_closed, exp_lt, is_mu_closed
+from .arithmetic import _exp_lt, _koenig, _mu_closed, exp_lt, is_mu_closed
 from .ordinals import _GREATER, _Record, _set
 
 
@@ -120,23 +119,20 @@ def internal_size_of_cardinality(
     mu = params.mu
     # Every cardinal asked about here exceeds LS(K) >= mu, and ClassParams checked that mu is
     # regular, so the lookups need no level check.
-    if mu is ALEPH0:  # every lam is aleph(0)-closed; card_index_classify would raise on a plain atom
+    if mu is ALEPH0:  # every lam is aleph(0)-closed; _pred would raise on a plain atom
         return Determined(lam, ())
-    kind = card_index_classify(lam)
-    # Koenig: lam is the successor of a cardinal of cofinality below mu, so it is not mu-closed.
-    koenig = isinstance(kind, SuccessorCard) and cofinality(kind.pred) < mu
+    pred = _pred(lam)
+    koenig = _koenig(pred, mu)
     used = _sch_below(ctx, mu, lam)
     if used is not None:
-        return TwoCandidates(kind.pred, lam, used) if koenig else Determined(lam, used)
+        return TwoCandidates(pred, lam, used) if koenig else Determined(lam, used)
     # Fall back to the largest context-certified mu-closed regular cardinal
     # <= lam as a lower bound; the class's own LST axiom is deliberately not
     # used as a closure fact (for some parameters it is itself independent).
-    if isinstance(kind, SuccessorCard):
-        pred = kind.pred
-        if pred > params.ls and is_regular(pred):
-            used = _mu_closed(pred, mu, ctx)
-            if used is not None:
-                return SizeInterval(pred, lam, tight=False, used=used)
+    if pred is not None and pred > params.ls and is_regular(pred):
+        used = _mu_closed(pred, mu, ctx)
+        if used is not None:
+            return SizeInterval(pred, lam, tight=False, used=used)
     if not isinstance(params.ls, CardinalAtom):
         ls_succ = successor(params.ls)
         if ls_succ <= lam:
@@ -145,7 +141,7 @@ def internal_size_of_cardinality(
                 return SizeInterval(ls_succ, lam, tight=False, used=used)
     # The miss is_mu_closed names when Koenig does not settle it; a successor lam > LS(K) >= mu has
     # its predecessor at least mu.
-    where = f"at {kind.pred}" if isinstance(kind, SuccessorCard) and not koenig else f"below {lam}"
+    where = f"at {pred}" if pred is not None and not koenig else f"below {lam}"
     return Independent((
         f"mu-closedness of {lam} at {mu} is undecided and no mu-closed regular cardinal in "
         f"({params.ls}, {lam}] is certified (missing: SCH({mu}) {where})",
@@ -176,7 +172,7 @@ def rank_excluded_at(
     theta: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext
 ) -> Verdict[bool]:
     """Can theta (a limit regular cardinal) be excluded as a presentability rank?"""
-    if not is_regular(theta) or isinstance(card_index_classify(theta), SuccessorCard):
+    if not is_regular(theta) or _pred(theta) is not None:
         raise ValueError("not a limit regular cardinal")
     return is_mu_closed(theta, mu, ctx)
 

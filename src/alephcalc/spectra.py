@@ -22,9 +22,8 @@ from .cardinals import (
     ALEPH2,
     CardinalAtom,
     CardinalExpr,
-    SuccessorCard,
+    _pred,
     card_compare,
-    card_index_classify,
     cofinality,
     is_regular,
     require_level,
@@ -101,8 +100,8 @@ def hilbert_count_by_cardinality(lam: CardinalExpr, ctx: HypothesisContext) -> C
         ))
     if cofinality(lam) is ALEPH0:
         return ZeroCount(("GCH",))
-    kind = card_index_classify(lam)
-    if isinstance(kind, SuccessorCard) and cofinality(kind.pred) is ALEPH0:
+    pred = _pred(lam)
+    if pred is not None and cofinality(pred) is ALEPH0:
         return Finite(2, ("GCH",))
     return Finite(1, ("GCH",))
 

@@ -205,6 +205,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+def test_cli_and_its_eval_statements_load_no_typing():
+    # typing costs milliseconds of a process's start, and no stdlib module the package uses imports it.
+    stmts = ["cf(aleph(1))", "exp_lt(aleph(w), aleph(1))", "shelah_card(aleph(1), aleph(w+1))"]
+    code = ("import contextlib, io, sys, alephcalc.cli\n"
+            "loaded = ['typing' in sys.modules]\n"
+            f"for stmt in {stmts!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        alephcalc.cli.main(['eval', '-e', stmt, '--json'])\n"
+            "    loaded.append('typing' in sys.modules)\n"
+            "print(loaded)")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "[False, False, False, False]\n"
+
+
 @pytest.mark.parametrize("stmt, loaded", [
     ("cf(aleph(1))", []),
     ("exp_lt(aleph(w), aleph(1))", ["alephcalc.arithmetic"]),
