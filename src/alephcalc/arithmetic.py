@@ -33,8 +33,8 @@ from .hypotheses import (
 from .ordinals import _EQUAL, _GREATER, _LESS
 
 
-def two_lt(mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
-    """2^{<mu}.  aleph_0 unconditionally for mu = aleph_0; mu itself under GCH."""
+def two_lt(mu: CardinalExpr, ctx: HypothesisContext) -> Verdict:
+    """2^{<mu}, a cardinal verdict.  aleph_0 unconditionally for mu = aleph_0; mu itself under GCH."""
     if mu is ALEPH0:
         return Determined(ALEPH0)
     if ctx.gch:
@@ -44,34 +44,35 @@ def two_lt(mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
 
 def is_almost_mu_closed(
     lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext
-) -> Verdict[bool]:
-    """Is theta^{<mu} <= lam for every infinite theta < lam?"""
+) -> Verdict:
+    """Is theta^{<mu} <= lam for every infinite theta < lam?  A ``bool`` verdict."""
     return ctx_implies_sch(ctx, mu, lam)
 
 
-def _koenig(pred: CardinalExpr | None, mu: CardinalExpr) -> bool:
-    """Does Koenig refute that the successor of pred is mu-closed, cf(pred) < mu?  None is a limit."""
-    return pred is not None and cofinality(pred) < mu
+def _koenig(lam: CardinalExpr, mu: CardinalExpr) -> CardinalExpr | None:
+    """The predecessor of lam when Koenig refutes that lam is mu-closed (its cofinality is
+    below mu), else None.  Every lam is aleph(0)-closed, so only mu > aleph(0) asks ``_pred``,
+    which raises on a plain atom."""
+    if mu is ALEPH0:
+        return None
+    pred = _pred(lam)
+    return pred if pred is not None and cofinality(pred) < mu else None
 
 
-def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[bool]:
-    """Is theta^{<mu} < lam for every infinite theta < lam?
+def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict:
+    """Is theta^{<mu} < lam for every infinite theta < lam?  A ``bool`` verdict.
 
     Equivalent to: SCH_{mu,lam} holds and lam is not the successor of a
     cardinal of cofinality below mu.  The second conjunct refutes on its own.
     """
     require_level(mu, lam)
-    if mu is ALEPH0:  # every lam is aleph(0)-closed; _pred would raise on a plain atom
-        return Determined(True)
-    return Determined(False) if _koenig(_pred(lam), mu) else sch_holds_at(ctx, mu, lam)
+    return Determined(False) if _koenig(lam, mu) is not None else sch_holds_at(ctx, mu, lam)
 
 
 def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[str, ...] | None:
     """``used`` of a true ``is_mu_closed(lam, mu, ctx)``, or None; builds no verdict and no
     text.  The caller has checked ``require_level(mu, lam)``."""
-    if mu is ALEPH0:
-        return ()
-    return None if _koenig(_pred(lam), mu) else _sch_below(ctx, mu, lam)
+    return None if _koenig(lam, mu) is not None else _sch_below(ctx, mu, lam)
 
 
 def _exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[CardinalExpr, tuple[str, ...]] | None:
@@ -84,8 +85,8 @@ def _exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tupl
     return None if used is None else (value, used)
 
 
-def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalExpr]:
-    """lam^{<mu}.
+def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdict:
+    """lam^{<mu}, a cardinal verdict.
 
     With the relevant almost-closedness certified: lam when cf(lam) >= mu,
     lam^+ when cf(lam) < mu.  For lam < mu the value is mu exactly under GCH;
@@ -102,8 +103,8 @@ def exp_lt(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> Verdi
     return Determined(*settled)
 
 
-def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Verdict[bool]:
-    """The accessibility-index order mu <| lam (reflexive on equal inputs).
+def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Verdict:
+    """The accessibility-index order mu <| lam (reflexive on equal inputs), a ``bool`` verdict.
 
     mu-closedness of lam is sufficient, and above 2^{<mu} it is equivalent.
     """
@@ -120,5 +121,6 @@ def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Ver
     bound = two_lt(mu, ctx)
     if isinstance(bound, Independent):
         return bound
-    # bound.value is mu (under GCH, as mu > aleph_0 here), so lam > 2^<mu.
-    return Determined(False, tuple(sorted(set(closed.used) | set(bound.used))))
+    # Only Koenig refutes closedness, and it uses no assumption.  bound.value is mu (under
+    # GCH, as mu > aleph_0 here), so lam > 2^<mu.
+    return Determined(False, bound.used)

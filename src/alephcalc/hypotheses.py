@@ -62,11 +62,11 @@ class Independent(_Record):
 Verdict = Determined | Independent
 
 
-def is_true(v: Verdict[bool]) -> bool:
+def is_true(v: Verdict) -> bool:
     return isinstance(v, Determined) and v.value is True
 
 
-def is_false(v: Verdict[bool]) -> bool:
+def is_false(v: Verdict) -> bool:
     return isinstance(v, Determined) and v.value is False
 
 
@@ -226,8 +226,8 @@ def _covering(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> t
     return None
 
 
-def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict[bool]:
-    """Does ctx entail that card is almost mu-closed?
+def ctx_implies_sch(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict:
+    """Does ctx entail that card is almost mu-closed?  A ``bool`` verdict.
 
     Determined(True) via GCH, a covering declared SCH instance at level
     >= mu, or trivially for mu = aleph_0; never Determined(False).  The
@@ -266,8 +266,8 @@ def _sch_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> t
     return None
 
 
-def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
-    """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?
+def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict:
+    """Does ctx entail SCH_{mu,lam} (an unbounded-in-lam almost mu-closed set)?  A ``bool`` verdict.
     At a limit lam it scans ``ctx.sch`` level by level as ``ctx_implies_sch`` does.
     The engine's own callers ask ``_sch_below``, which builds no verdict."""
     require_level(mu, lam)
@@ -280,8 +280,8 @@ def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) ->
     return Independent((f"SCH({mu}) below {lam}",))
 
 
-def l_cofinality(lam: CardinalExpr, ctx: HypothesisContext) -> Verdict[CardinalInterval]:
-    """Cofinality of lam as computed in L, as an interval of cardinals.
+def l_cofinality(lam: CardinalExpr, ctx: HypothesisContext) -> Verdict:
+    """Cofinality of lam as computed in L, as a verdict on a ``CardinalInterval`` of cardinals.
 
     V=L pins it exactly, and a regular lam stays regular in L; 0# makes
     every uncountable cardinal inaccessible in L; without 0#, Jensen

@@ -119,16 +119,15 @@ def internal_size_of_cardinality(
     mu = params.mu
     # Every cardinal asked about here exceeds LS(K) >= mu, and ClassParams checked that mu is
     # regular, so the lookups need no level check.
-    if mu is ALEPH0:  # every lam is aleph(0)-closed; _pred would raise on a plain atom
-        return Determined(lam, ())
-    pred = _pred(lam)
-    koenig = _koenig(pred, mu)
+    koenig = _koenig(lam, mu)
     used = _sch_below(ctx, mu, lam)
     if used is not None:
-        return TwoCandidates(pred, lam, used) if koenig else Determined(lam, used)
+        return Determined(lam, used) if koenig is None else TwoCandidates(koenig, lam, used)
     # Fall back to the largest context-certified mu-closed regular cardinal
     # <= lam as a lower bound; the class's own LST axiom is deliberately not
     # used as a closure fact (for some parameters it is itself independent).
+    # Here mu > aleph(0), as _sch_below settles every lam at aleph(0).
+    pred = _pred(lam)
     if pred is not None and pred > params.ls and is_regular(pred):
         used = _mu_closed(pred, mu, ctx)
         if used is not None:
@@ -141,7 +140,7 @@ def internal_size_of_cardinality(
                 return SizeInterval(ls_succ, lam, tight=False, used=used)
     # The miss is_mu_closed names when Koenig does not settle it; a successor lam > LS(K) >= mu has
     # its predecessor at least mu.
-    where = f"at {pred}" if pred is not None and not koenig else f"below {lam}"
+    where = f"at {pred}" if pred is not None and koenig is None else f"below {lam}"
     return Independent((
         f"mu-closedness of {lam} at {mu} is undecided and no mu-closed regular cardinal in "
         f"({params.ls}, {lam}] is certified (missing: SCH({mu}) {where})",
@@ -159,8 +158,8 @@ def colimit_presentability_bound(
 
 def existence_window(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
-) -> tuple[CardinalExpr, Verdict[CardinalExpr]]:
-    """Window [lam, lam^{<mu}] of internal sizes guaranteed to be hit."""
+) -> tuple[CardinalExpr, Verdict]:
+    """Window [lam, lam^{<mu}] of internal sizes guaranteed to be hit; lam^{<mu} is a cardinal verdict."""
     require_regular(mu)
     require_regular(lam, "lam")
     if card_compare(mu, lam) is _GREATER:
@@ -170,8 +169,8 @@ def existence_window(
 
 def rank_excluded_at(
     theta: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext
-) -> Verdict[bool]:
-    """Can theta (a limit regular cardinal) be excluded as a presentability rank?"""
+) -> Verdict:
+    """Can theta (a limit regular cardinal) be excluded as a presentability rank?  A ``bool`` verdict."""
     if not is_regular(theta) or _pred(theta) is not None:
         raise ValueError("not a limit regular cardinal")
     return is_mu_closed(theta, mu, ctx)
@@ -182,8 +181,8 @@ def no_model_of_internal_size(
     lam: CardinalExpr,
     facts: SpectrumFacts,
     ctx: HypothesisContext,
-) -> Verdict[bool]:
-    """Gap in [lam, lam^{<mu}) plus categoricity at lam^{<mu} rules out size lam."""
+) -> Verdict:
+    """Gap in [lam, lam^{<mu}) plus categoricity at lam^{<mu} rules out size lam.  A ``bool`` verdict."""
     if not lam > params.ls:
         raise ValueError("lam must exceed LS(K)")
     if params.mu is ALEPH0:
@@ -208,28 +207,23 @@ def no_model_of_internal_size(
 
 def existence_at(
     params: ClassParams, lam: CardinalExpr, ctx: HypothesisContext
-) -> Verdict[bool]:
-    """Does the class certifiedly have a model of internal size lam?"""
+) -> Verdict:
+    """Does the class certifiedly have a model of internal size lam?  A ``bool`` verdict."""
     if not lam > params.ls:
         raise ValueError("lam must exceed LS(K)")
     if not params.arbitrarily_large_models:
         raise ValueError("existence analysis requires arbitrarily large models")
     mu = params.mu
-    # lam > LS(K) >= mu and mu is regular, so the lookups need no level check.
-    if is_regular(lam):
-        if params.admits_intersections:
-            # Intersections give all regular internal sizes >= mu outright.
-            return Determined(True)
-        e = _exp_lt(lam, mu, ctx)
-        if e is not None and e[0] is lam:
-            return Determined(True, e[1])
-    used = _sch_below(ctx, mu, lam)
+    # lam > LS(K) >= mu and mu is regular, so the lookups need no level check.  A regular lam
+    # needs no certificate; then intersections, or lam^{<mu} = lam, give the model.
+    used = () if is_regular(lam) else _sch_below(ctx, mu, lam)
     if used is not None:
         if params.admits_intersections:
             return Determined(True, used)
         e = _exp_lt(lam, mu, ctx)
         if e is not None and e[0] is lam:
-            return Determined(True, tuple(sorted(set(used) | set(e[1]))))
+            # Each side names at most one assumption: the union is e[1] unless both name one and differ.
+            return Determined(True, e[1] if not used or used == e[1] else tuple(sorted({*used, *e[1]})))
     return Independent(
         (
             f"a clause certifying existence at {lam}: regularity with a degenerate window, "

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from .cardinals import (
     ALEPH0,
-    ALEPH2,
     CardinalAtom,
     CardinalExpr,
     _pred,
@@ -159,16 +158,13 @@ def shelah_count_by_cardinality(
         return Determined(lam_plus, ("V=L",))
     if ctx.zero_sharp is _EXISTS:
         return Determined(lam_plus, ("sharp",))
-    if ctx.zero_sharp is _NOT_EXISTS:
-        return _count_without_sharp(mu, lam)
     without = _count_without_sharp(mu, lam)
-    if isinstance(without, Determined) and without.value is lam_plus:
-        # Both 0# branches agree, so the count is a ZFC fact at this point.
+    if ctx.zero_sharp is _NOT_EXISTS:
+        return without
+    if isinstance(without, Determined):
+        # Its value is lam^+, as with 0#: both branches agree, so the count is a ZFC fact here.
         return Determined(lam_plus)
-    if isinstance(without, Independent):
-        shown = "undetermined"
-    else:
-        shown = without.value if isinstance(without, Determined) else without
+    shown = "undetermined" if isinstance(without, Independent) else without
     return Independent((f"the status of 0# (with sharp: {lam_plus}; without: {shown})",))
 
 
@@ -176,26 +172,16 @@ _NO_SHARP = HypothesisContext(zero_sharp=_NOT_EXISTS)
 
 
 def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
+    """I(K^mu, lam) without 0#, read off the interval that holds cf^L(lam) against mu."""
     pinned = l_cofinality(lam, _NO_SHARP)
     assert isinstance(pinned, Determined)
-    interval: CardinalInterval = pinned.value
+    cf_l: CardinalInterval = pinned.value
     used = ("no-sharp",)
-    if interval.is_point:
-        cf_l = interval.lo
-        if cf_l < mu:
-            return Finite(1, used)
-        if _cond3_certified(mu, lam):
-            return Determined(successor(lam), used)
-        return AtLeastCard(lam, used)
-    # cf(lam) = aleph_0, so cf^L(lam) is aleph_0 or aleph_1.
-    if mu >= ALEPH2:
+    if cf_l.hi < mu:
         return Finite(1, used)
-    if mu is ALEPH0:
-        # cf^L >= aleph_0 trivially and condition (3) is automatic.
-        return Determined(successor(lam), used)
-    return Independent((
-        f"cf^L({lam}) lies in [aleph(0), aleph(1)] and mu = aleph(1) sits between the cases",
-    ))
+    if cf_l.lo >= mu:
+        return Determined(successor(lam), used) if _cond3_certified(mu, lam) else AtLeastCard(lam, used)
+    return Independent((f"cf^L({lam}) lies in {cf_l} and mu = {mu} sits between the cases",))
 
 
 def shelah_count_by_internal_size(

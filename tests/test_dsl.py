@@ -879,7 +879,7 @@ def test_lines_sharing_a_literal_table_parse_as_read_token_by_token(texts):
     ("assume(aleph(1))", False), ("inacc(aleph(1))", False), ("aleph_1(aleph(1))", False),
     ("f(aleph(1), true)", False), ("f(aleph(aleph(aleph(aleph(aleph(1))))))", False),
 ])
-def test_only_a_flat_line_skips_the_grammar_walk(text, literal_args):
+def test_a_line_parses_with_a_literal_table_as_read_token_by_token(text, literal_args):
     """Each line, of the form ``NAME(literal, ..., literal)`` (``literal_args``) or not, parses with a
     literal table to the general parser's AST or error."""
     outcome = _parse_outcome(lambda: parse(text, {}))

@@ -3,10 +3,14 @@
 ``import alephcalc`` loads no submodule; a public name or submodule is imported on first access.
 """
 
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
+
+import alephcalc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,3 +127,38 @@ print("\\n".join(records[0]))
 """
     for _ in range(5):
         assert run_fresh(code) == f"{INTERNAL_SIZE}\n{SHELAH_INTERNAL}\n"
+
+
+def _functions(obj) -> list:
+    """obj itself if it is a function; the methods, property getters and static and class methods
+    a class defines; nothing for a constant or a type alias."""
+    if inspect.isfunction(obj):
+        return [obj]
+    if not inspect.isclass(obj):
+        return []
+    found = []
+    for member in vars(obj).values():
+        if isinstance(member, property):
+            member = member.fget
+        elif isinstance(member, (staticmethod, classmethod)):
+            member = member.__func__
+        if inspect.isfunction(member):
+            found.append(member)
+    return found
+
+
+def test_every_public_annotation_evaluates():
+    # Verdict is a plain union of two record classes, so an annotation that subscripts it
+    # (``Verdict[bool]``) cannot be evaluated.
+    checked = 0
+    for name in alephcalc.__all__:
+        obj = getattr(alephcalc, name)
+        if inspect.isclass(obj):
+            typing.get_type_hints(obj)
+        for fn in _functions(obj):
+            try:
+                typing.get_type_hints(fn)
+            except Exception as err:
+                raise AssertionError(f"{name}: {fn.__qualname__}: {err!r}") from err
+            checked += 1
+    assert checked > 50

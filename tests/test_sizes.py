@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alephcalc import (
     ALEPH0,
@@ -19,6 +20,7 @@ from alephcalc import (
     SizeInterval,
     SpectrumFacts,
     TwoCandidates,
+    UnboundedBelow,
     Undetermined,
     aleph,
     build_context,
@@ -37,7 +39,8 @@ from alephcalc.evaluator import evaluate_line
 from alephcalc.hypotheses import is_true
 from alephcalc.ordinals import OMEGA, cnf_add, from_int
 
-from conftest import alephs
+from conftest import alephs, cardinals
+from oracles import cf_oracle
 
 A_W = aleph(OMEGA)
 A_W1 = aleph(cnf_add(OMEGA, from_int(1)))
@@ -243,6 +246,17 @@ class TestExistenceAt:
         # aleph_{omega_1} has cofinality aleph_1 >= mu: window degenerates.
         assert is_true(existence_at(plain, Aleph(ALEPH1), GCH))
 
+    def test_a_singular_lam_names_the_sch_instance_of_each_rule(self):
+        # SCH below aleph_{omega_1} certifies the singular lam; SCH at it settles lam^{<mu} = lam.
+        lam = Aleph(ALEPH1)
+        below = SchAssumption(ALEPH1, UnboundedBelow(lam))
+        at = SchAssumption(ALEPH1, ExplicitSet((lam,)))
+        for sch in ((below, at), (at, below)):
+            got = existence_at(ClassParams(mu=ALEPH1, ls=ALEPH1), lam, build_context(sch=sch))
+            assert got == Determined(True, (below.describe(), at.describe()))
+        assert isinstance(existence_at(ClassParams(mu=ALEPH1, ls=ALEPH1), lam, build_context(sch=(at,))),
+                          Independent)
+
     def test_requires_arbitrarily_large_models(self):
         params = ClassParams(mu=ALEPH1, ls=ALEPH1, arbitrarily_large_models=False)
         with pytest.raises(ValueError, match="arbitrarily large"):
@@ -251,3 +265,37 @@ class TestExistenceAt:
     def test_requires_lam_above_ls(self):
         with pytest.raises(ValueError, match="exceed"):
             existence_at(PARAMS, ALEPH1, GCH)
+
+
+@st.composite
+def _existence_inputs(draw):
+    """ClassParams with a regular mu and cf(LS(K)) >= mu, and a cardinal lam above LS(K)."""
+    mu = draw(st.one_of(st.sampled_from((ALEPH0, ALEPH1, ALEPH2)), alephs().map(successor)))
+    ls = draw(alephs())
+    if ls < mu:
+        ls = mu
+    while cf_oracle(ls) < mu:
+        ls = successor(ls)
+    lam = draw(cardinals(with_atoms=True))
+    if not lam > ls:
+        # LS(K)^+ is regular, aleph_{LS(K)} has cofinality cf(LS(K)) >= mu and aleph_{LS(K)+omega}
+        # has cofinality aleph(0); aleph(0) is no index base, so aleph(omega) stands in for both.
+        far = (Aleph(ls), Aleph(ls, OMEGA)) if ls is not ALEPH0 else (A_W,)
+        lam = draw(st.sampled_from((successor(ls), *far)))
+    return ClassParams(mu=mu, ls=ls, admits_intersections=draw(st.booleans())), lam
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_existence_inputs(), st.sampled_from((GCH, build_context(v_equals_l=True))))
+def test_existence_at_under_gch_is_its_closed_form(inputs, ctx):
+    """Under GCH lam^{<mu} = lam exactly when cf(lam) >= mu, and SCH holds everywhere: a model
+    exists when lam is regular, the class admits intersections, or cf(lam) >= mu.  Only a regular
+    lam with intersections, or mu = aleph(0), leaves GCH unused."""
+    params, lam = inputs
+    mu, cf = params.mu, cf_oracle(lam)
+    got = existence_at(params, lam, ctx)
+    if cf is lam or params.admits_intersections or cf >= mu:
+        free = (cf is lam and params.admits_intersections) or mu is ALEPH0
+        assert got == Determined(True, () if free else ("GCH",))
+    else:
+        assert isinstance(got, Independent)
