@@ -26,9 +26,9 @@ from .hypotheses import (
     Verdict,
     _covering,
     _sch_below,
+    _sch_holds_at,
     ctx_implies_sch,
     is_false,
-    sch_holds_at,
 )
 from .ordinals import _EQUAL, _GREATER, _LESS
 
@@ -66,7 +66,7 @@ def is_mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) ->
     cardinal of cofinality below mu.  The second conjunct refutes on its own.
     """
     require_level(mu, lam)
-    return Determined(False) if _koenig(lam, mu) is not None else sch_holds_at(ctx, mu, lam)
+    return Determined(False) if _koenig(lam, mu) is not None else _sch_holds_at(ctx, mu, lam)
 
 
 def _mu_closed(lam: CardinalExpr, mu: CardinalExpr, ctx: HypothesisContext) -> tuple[str, ...] | None:

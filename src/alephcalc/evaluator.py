@@ -268,18 +268,24 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
     return [_answer(ast, format_statement(ast), ctx)], ctx
 
 
-class _BatchTable(dict):
-    """The parse state of one ``run_batch`` call, passed as ``evaluate_line``'s ``literals``.  As a dict
-    it is ``parse``'s table of aleph(...) values.  ``lines`` maps a line's text to its AST and canonical
-    text, or None in place of the text for an assume or a session, whose records carry their items'
-    text; it holds 4,096 lines at most.  An AST does not depend on the context, so ``lines`` is kept
-    across a change of context."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.lines: dict[str, tuple[Ast, str | None]] = {}
+def _evaluate(text: str, ctx: HypothesisContext, literals: dict | None, parsed: tuple | None = None
+              ) -> tuple[list[QueryResult], HypothesisContext, tuple[Ast, str | None] | None]:
+    """``evaluate_line``, evaluating ``parsed`` instead of parsing ``text`` when given.  Also returns the
+    parse of ``text``: its AST and canonical text, or None in place of the text for an assume or a
+    session, whose records carry their items' text; None if ``text`` did not parse."""
+    try:
+        if parsed is None:
+            ast = parse(text, literals)
+            parsed = ast, None if isinstance(ast, (Assume, Session)) else format_statement(ast)
+        ast, name = parsed
+        results, ctx = evaluate(ast, ctx) if name is None else ([_answer(ast, name, ctx)], ctx)
+        return results, ctx, parsed
+    except (ParseError, QueryError, ValueError) as err:
+        note = f"error: {err}"
+    except Exception as err:  # a parser or engine bug: one visible record, not a traceback
+        note = f"internal: {type(err).__name__}: {err}"
+    query = text.strip() if parsed is None else parsed[1] or format_statement(parsed[0])
+    return [QueryResult(query, "error", None, (), (note,))], ctx, parsed
 
 
 def evaluate_line(text: str, ctx: HypothesisContext,
@@ -287,25 +293,8 @@ def evaluate_line(text: str, ctx: HypothesisContext,
     """Parse (with ``parse``'s ``literals``) and evaluate ``text``, turning any exception into one error record.
 
     A ``ParseError``, ``QueryError`` or ``ValueError`` gives an ``error:`` note, any other exception (a parser
-    or engine bug) an ``internal:`` one; the record's query is the stripped text if parsing failed.  Given
-    ``run_batch``'s table as ``literals``, a line parsed before in the same batch is not parsed again."""
-    lines = getattr(literals, "lines", None)
-    parsed = None
-    try:
-        parsed = None if lines is None else lines.get(text)
-        if parsed is None:
-            ast = parse(text, literals)
-            parsed = ast, None if isinstance(ast, (Assume, Session)) else format_statement(ast)
-            if lines is not None and len(lines) < 4096:
-                lines[text] = parsed
-        ast, name = parsed
-        return evaluate(ast, ctx) if name is None else ([_answer(ast, name, ctx)], ctx)
-    except (ParseError, QueryError, ValueError) as err:
-        note = f"error: {err}"
-    except Exception as err:  # a parser or engine bug: one visible record, not a traceback
-        note = f"internal: {type(err).__name__}: {err}"
-    query = text.strip() if parsed is None else parsed[1] or format_statement(parsed[0])
-    return [QueryResult(query, "error", None, (), (note,))], ctx
+    or engine bug) an ``internal:`` one; the record's query is the stripped text if parsing failed."""
+    return _evaluate(text, ctx, literals)[:2]
 
 
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIOBase, *, as_json: bool) -> int:
@@ -317,27 +306,26 @@ def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIOBase, *, 
     produced an error record.
     """
     status = 0
-    # Stripped line -> (its rendered records, whether one is an error) under ctx.  A context never
-    # comes back once left, so clearing on every change of ctx is the same as keying on (line, ctx).
-    # 4,096 lines bound the memo.  tables holds the parser's aleph(...) values and the parsed lines
-    # for this call.
-    memo: dict[str, tuple[tuple[str, ...], bool]] = {}
-    tables = _BatchTable()
+    # Stripped line -> (its parse as ``_evaluate`` returns it, the context its records were rendered
+    # under or None if the line changed the context, those records, whether one is an error).  An AST
+    # does not depend on the context, so it is reused under a new one; the records are replayed only
+    # under the same one.  4,096 lines bound the table.  literals is parse's table of aleph(...) values.
+    table: dict[str, tuple[tuple | None, HypothesisContext | None, tuple[str, ...], bool]] = {}
+    literals: dict = {}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        hit = memo.get(line)
-        if hit is None:
-            results, new_ctx = evaluate_line(line, ctx, tables)
-            hit = (tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
-                   any(r.verdict == "error" for r in results))
-            if new_ctx is ctx and len(memo) < 4096:
-                memo[line] = hit
-            else:
-                memo.clear()
+        entry = table.get(line)
+        if entry is None or entry[1] is not ctx:
+            results, new_ctx, parsed = _evaluate(line, ctx, literals, entry and entry[0])
+            entry = (parsed, ctx if new_ctx is ctx else None,
+                     tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
+                     any(r.verdict == "error" for r in results))
+            if len(table) < 4096 or line in table:
+                table[line] = entry
             ctx = new_ctx
-        records, error = hit
+        _, _, records, error = entry
         status |= error
         for record in records:
             out.write(record)

@@ -271,6 +271,11 @@ def sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) ->
     At a limit lam it scans ``ctx.sch`` level by level as ``ctx_implies_sch`` does.
     The engine's own callers ask ``_sch_below``, which builds no verdict."""
     require_level(mu, lam)
+    return _sch_holds_at(ctx, mu, lam)
+
+
+def _sch_holds_at(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict:
+    """``sch_holds_at`` after its ``require_level(mu, lam)``, which the caller has checked."""
     used = _sch_below(ctx, mu, lam)
     if used is not None:
         return Determined(True, used)

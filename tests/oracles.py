@@ -204,7 +204,7 @@ def reference_scan(text: str) -> list[tuple[str, str, int]]:
 # --- SCH lookups ------------------------------------------------------------------
 
 
-def sch_scan_point(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict[bool]:
+def sch_scan_point(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr) -> Verdict:
     """``ctx_implies_sch``, comparing every instance's level with mu."""
     require_level(mu, card, what="card")
     if mu == ALEPH0:
@@ -226,7 +226,7 @@ def sch_scan_point(ctx: HypothesisContext, mu: CardinalExpr, card: CardinalExpr)
     return Independent((f"SCH({mu}) at {card}",))
 
 
-def sch_scan_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict[bool]:
+def sch_scan_below(ctx: HypothesisContext, mu: CardinalExpr, lam: CardinalExpr) -> Verdict:
     """``sch_holds_at``, comparing every instance's level with mu at a limit lam."""
     require_level(mu, lam)
     if mu == ALEPH0:

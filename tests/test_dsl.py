@@ -920,3 +920,34 @@ def test_a_batch_parses_a_line_once_across_a_context_change(monkeypatch):
     ]
     monkeypatch.undo()
     _check_against_reference(lines, EMPTY_CONTEXT)
+
+
+def test_a_batch_applies_a_repeated_assume_again_instead_of_replaying_it(monkeypatch):
+    """An ``assume`` line changes the context, so a batch keeps its AST but not its records: asked
+    again after ``assume GCH`` it is applied again, without being parsed again."""
+    sch, query = "assume SCH(aleph(1), >= aleph(2))", "exp_lt(aleph(w), aleph(1))"
+    lines = [sch, query, "assume GCH", query, sch, query]
+    parsed, applied = [], []
+    parse_line, apply_assumption = evaluator.parse, evaluator.apply_assumption
+    monkeypatch.setattr(evaluator, "parse", lambda text, *rest: parsed.append(text) or parse_line(text, *rest))
+    monkeypatch.setattr(evaluator, "apply_assumption",
+                        lambda ctx, item: applied.append(format_statement(Assume(item))) or apply_assumption(ctx, item))
+    out = io.StringIO()
+    assert run_batch(lines, EMPTY_CONTEXT, out, as_json=True) == 0
+    assert parsed == [sch, query, "assume GCH"]
+    assert applied == [sch, "assume GCH", sch]
+    records = [json.loads(record) for record in out.getvalue().splitlines()]
+    assert [(r["query"], r["verdict"], r["value"], r["assumptions_used"]) for r in records] == [
+        (query, "determined", "aleph(w+1)", ["SCH(aleph(1), >= aleph(2))"]),
+        (query, "determined", "aleph(w+1)", ["GCH"]),
+        (query, "determined", "aleph(w+1)", ["GCH"]),
+    ]
+    monkeypatch.undo()
+    _check_against_reference(lines, EMPTY_CONTEXT)
+
+
+def test_an_aleph_plus_an_aleph_is_the_larger_aleph():
+    """``aleph(1)+aleph(2)`` is the ordinal aleph(2) + 0, which prints without its zero tail."""
+    assert parse("aleph(1)+aleph(2)") == OrdinalLiteral(aleph(2), ORD_ZERO)
+    results, _ = evaluate_line("aleph(1)+aleph(2)", EMPTY_CONTEXT)
+    assert [(r.query, r.verdict, r.value) for r in results] == [("aleph(2)", "determined", "aleph(2)")]

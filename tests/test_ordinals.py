@@ -167,3 +167,8 @@ def test_as_int_of_an_infinite_ordinal_raises():
     for a in (OMEGA, cnf_add(OMEGA, from_int(3)), W_W):
         with pytest.raises(ValueError, match="is infinite"):
             a.as_int()
+
+
+def test_from_int_of_a_negative_integer_raises():
+    with pytest.raises(ValueError, match="ordinals are nonnegative"):
+        from_int(-1)

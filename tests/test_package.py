@@ -162,3 +162,16 @@ def test_every_public_annotation_evaluates():
                 raise AssertionError(f"{name}: {fn.__qualname__}: {err!r}") from err
             checked += 1
     assert checked > 50
+
+
+def test_every_oracle_annotation_evaluates():
+    import oracles
+
+    functions = [fn for fn in vars(oracles).values()
+                 if inspect.isfunction(fn) and fn.__module__ == oracles.__name__]
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except Exception as err:
+            raise AssertionError(f"{fn.__qualname__}: {err!r}") from err
+    assert len(functions) > 10
