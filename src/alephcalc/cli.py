@@ -59,7 +59,6 @@ def _cmd_batch(args, ctx, parser) -> int:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as err:
         parser.error(f"cannot read {args.file}: {err}")
-        raise AssertionError("unreachable")
     return run_batch(lines, ctx, sys.stdout, as_json=args.json)
 
 

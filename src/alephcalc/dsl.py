@@ -37,7 +37,6 @@ is read again token by token, so its error does not depend on the table.
 from __future__ import annotations
 
 import re
-from bisect import bisect
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -160,7 +159,7 @@ _LITERAL_TOKEN = re.compile(rf"aleph\({_balanced(_LITERAL_LEVELS - 1)}\)|" + _TO
 
 
 def _where(text: str, pos: int) -> tuple[int, int]:
-    """Line and column of offset ``pos``; only an error needs them."""
+    """Line and column of offset ``pos``; only an error and ``tokenize`` need them."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
@@ -188,9 +187,7 @@ def _starts(text: str) -> list[int]:
 
 
 def tokenize(text: str) -> list[Token]:
-    breaks = [m.start() for m in re.finditer("\n", text)]  # _where per token would be quadratic
-    return [Token(kind, word, n + 1, pos - (breaks[n - 1] if n else -1))
-            for kind, word, pos in zip(*_scan(text), _starts(text)) for n in [bisect(breaks, pos)]]
+    return [Token(kind, word, *_where(text, pos)) for kind, word, pos in zip(*_scan(text), _starts(text))]
 
 
 # --- parser ------------------------------------------------------------------

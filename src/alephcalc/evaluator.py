@@ -172,8 +172,7 @@ def _existence_window(name, ctx, mu, lam):
 
 
 def _existence_at(name, ctx, mu, ls, lam, intersections):
-    params = _pkg.sizes.ClassParams(mu=mu, ls=ls, admits_intersections=intersections,
-                                    arbitrarily_large_models=True)
+    params = _pkg.sizes.ClassParams(mu=mu, ls=ls, admits_intersections=intersections)
     return _from_verdict(name, _pkg.sizes.existence_at(params, lam, ctx))
 
 
@@ -240,21 +239,6 @@ def apply_assumption(ctx: HypothesisContext, item: Assumption) -> HypothesisCont
     return extend_context(ctx, sch=(item,))
 
 
-def _answer(ast: Query | CardinalLiteral | OrdinalLiteral | BoolLiteral, name: str,
-            ctx: HypothesisContext) -> QueryResult:
-    """The record of a query or literal whose canonical text is ``name``."""
-    if not isinstance(ast, Query):
-        return QueryResult(name, "determined", name)
-    entry = QUERIES.get(ast.name)
-    if entry is None:
-        raise QueryError(f"unknown query name: {_clip(ast.name)}")
-    kinds, handler = entry
-    if len(ast.args) != len(kinds):
-        raise QueryError(f"{ast.name} takes {len(kinds)} argument(s), got {len(ast.args)}")
-    args = [_coerce(ast.name, i, kind, arg) for i, (kind, arg) in enumerate(zip(kinds, ast.args))]
-    return handler(name, ctx, *args)
-
-
 def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], HypothesisContext]:
     """Evaluate one statement (or session); assume items fold into the context."""
     if isinstance(ast, Session):
@@ -265,36 +249,41 @@ def evaluate(ast: Ast, ctx: HypothesisContext) -> tuple[list[QueryResult], Hypot
         return results, ctx
     if isinstance(ast, Assume):
         return [], apply_assumption(ctx, ast.item)
-    return [_answer(ast, format_statement(ast), ctx)], ctx
+    name = format_statement(ast)
+    if not isinstance(ast, Query):
+        return [QueryResult(name, "determined", name)], ctx
+    entry = QUERIES.get(ast.name)
+    if entry is None:
+        raise QueryError(f"unknown query name: {_clip(ast.name)}")
+    kinds, handler = entry
+    if len(ast.args) != len(kinds):
+        raise QueryError(f"{ast.name} takes {len(kinds)} argument(s), got {len(ast.args)}")
+    args = [_coerce(ast.name, i, kind, arg) for i, (kind, arg) in enumerate(zip(kinds, ast.args))]
+    return [handler(name, ctx, *args)], ctx
 
 
-def _evaluate(text: str, ctx: HypothesisContext, literals: dict | None, parsed: tuple | None = None
-              ) -> tuple[list[QueryResult], HypothesisContext, tuple[Ast, str | None] | None]:
-    """``evaluate_line``, evaluating ``parsed`` instead of parsing ``text`` when given.  Also returns the
-    parse of ``text``: its AST and canonical text, or None in place of the text for an assume or a
-    session, whose records carry their items' text; None if ``text`` did not parse."""
+def _evaluate(text: str, ctx: HypothesisContext, literals: dict | None, ast: Ast | None = None
+              ) -> tuple[list[QueryResult], HypothesisContext, Ast | None]:
+    """``evaluate_line``, evaluating ``ast`` instead of parsing ``text`` (with ``parse``'s ``literals``)
+    when given.  Also returns the AST of ``text``, or None if it did not parse."""
     try:
-        if parsed is None:
+        if ast is None:
             ast = parse(text, literals)
-            parsed = ast, None if isinstance(ast, (Assume, Session)) else format_statement(ast)
-        ast, name = parsed
-        results, ctx = evaluate(ast, ctx) if name is None else ([_answer(ast, name, ctx)], ctx)
-        return results, ctx, parsed
+        return *evaluate(ast, ctx), ast
     except (ParseError, QueryError, ValueError) as err:
         note = f"error: {err}"
     except Exception as err:  # a parser or engine bug: one visible record, not a traceback
         note = f"internal: {type(err).__name__}: {err}"
-    query = text.strip() if parsed is None else parsed[1] or format_statement(parsed[0])
-    return [QueryResult(query, "error", None, (), (note,))], ctx, parsed
+    query = text.strip() if ast is None else format_statement(ast)
+    return [QueryResult(query, "error", None, (), (note,))], ctx, ast
 
 
-def evaluate_line(text: str, ctx: HypothesisContext,
-                  literals: dict | None = None) -> tuple[list[QueryResult], HypothesisContext]:
-    """Parse (with ``parse``'s ``literals``) and evaluate ``text``, turning any exception into one error record.
+def evaluate_line(text: str, ctx: HypothesisContext) -> tuple[list[QueryResult], HypothesisContext]:
+    """Parse and evaluate ``text``, turning any exception into one error record.
 
     A ``ParseError``, ``QueryError`` or ``ValueError`` gives an ``error:`` note, any other exception (a parser
     or engine bug) an ``internal:`` one; the record's query is the stripped text if parsing failed."""
-    return _evaluate(text, ctx, literals)[:2]
+    return _evaluate(text, ctx, None)[:2]
 
 
 def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIOBase, *, as_json: bool) -> int:
@@ -306,11 +295,11 @@ def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIOBase, *, 
     produced an error record.
     """
     status = 0
-    # Stripped line -> (its parse as ``_evaluate`` returns it, the context its records were rendered
-    # under or None if the line changed the context, those records, whether one is an error).  An AST
-    # does not depend on the context, so it is reused under a new one; the records are replayed only
-    # under the same one.  4,096 lines bound the table.  literals is parse's table of aleph(...) values.
-    table: dict[str, tuple[tuple | None, HypothesisContext | None, tuple[str, ...], bool]] = {}
+    # Stripped line -> (its AST or None if it did not parse, the context its records were rendered under
+    # or None if the line changed the context, those records, whether one is an error).  An AST does not
+    # depend on the context, so it is reused under a new one; the records are replayed only under the
+    # same one.  4,096 lines bound the table.  literals is parse's table of aleph(...) values.
+    table: dict[str, tuple[Ast | None, HypothesisContext | None, tuple[str, ...], bool]] = {}
     literals: dict = {}
     for raw in lines:
         line = raw.strip()
@@ -318,8 +307,8 @@ def run_batch(lines: Iterable[str], ctx: HypothesisContext, out: TextIOBase, *, 
             continue
         entry = table.get(line)
         if entry is None or entry[1] is not ctx:
-            results, new_ctx, parsed = _evaluate(line, ctx, literals, entry and entry[0])
-            entry = (parsed, ctx if new_ctx is ctx else None,
+            results, new_ctx, ast = _evaluate(line, ctx, literals, entry and entry[0])
+            entry = (ast, ctx if new_ctx is ctx else None,
                      tuple(r.to_json_line() + "\n" if as_json else f"{r.query}\n{r.pretty()}\n" for r in results),
                      any(r.verdict == "error" for r in results))
             if len(table) < 4096 or line in table:

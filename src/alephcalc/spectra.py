@@ -135,16 +135,6 @@ def wellorder_internal_size(
 # --- the constructible class K^mu -------------------------------------------
 
 
-def _cond3_certified(mu: CardinalExpr, lam: CardinalExpr) -> bool:
-    # In L, is lam^+ certifiedly not the successor of a cardinal of
-    # L-cofinality below mu?  For mu = aleph_0 no infinite cardinal can have
-    # smaller cofinality; for singular lam, covering pins (lam^+)^L = lam^+
-    # with L-predecessor lam, whose L-cofinality the caller has pinned >= mu.
-    if mu is ALEPH0:
-        return True
-    return not is_regular(lam)
-
-
 def shelah_count_by_cardinality(
     mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext
 ) -> CountValue:
@@ -180,7 +170,11 @@ def _count_without_sharp(mu: CardinalExpr, lam: CardinalExpr) -> CountValue:
     if cf_l.hi < mu:
         return Finite(1, used)
     if cf_l.lo >= mu:
-        return Determined(successor(lam), used) if _cond3_certified(mu, lam) else AtLeastCard(lam, used)
+        # In L, is lam^+ certifiedly not the successor of a cardinal of L-cofinality below mu?  For
+        # mu = aleph_0 no infinite cardinal can have smaller cofinality; for singular lam, covering pins
+        # (lam^+)^L = lam^+ with L-predecessor lam, whose L-cofinality is pinned >= mu just above.
+        certified = mu is ALEPH0 or not is_regular(lam)
+        return Determined(successor(lam), used) if certified else AtLeastCard(lam, used)
     return Independent((f"cf^L({lam}) lies in {cf_l} and mu = {mu} sits between the cases",))
 
 

@@ -494,6 +494,57 @@ def _check_against_reference(lines, ctx):
         assert (run_batch(lines, ctx, out, as_json=as_json), out.getvalue()) == (status, "".join(expected))
 
 
+ONE_PATH_CONTEXTS = (
+    EMPTY_CONTEXT,
+    build_context(gch=True),
+    build_context(v_equals_l=True),
+    build_context(zero_sharp=ZeroSharp.NOT_EXISTS),
+    evaluate_line("assume SCH(aleph(1), >= aleph(2))", EMPTY_CONTEXT)[1],
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.randoms(use_true_random=False), st.sampled_from(ONE_PATH_CONTEXTS))
+def test_evaluate_line_is_evaluate_of_the_parse(rng, ctx):
+    """A line's records and context are ``evaluate``'s on its AST; where the line gives an error
+    record, ``evaluate`` raises, and the record's note carries the exception's text."""
+    line = format_statement(random_statement(rng))
+    results, new_ctx = evaluate_line(line, ctx)
+    if all(r.verdict != "error" for r in results):
+        assert evaluator.evaluate(parse(line), ctx) == (results, new_ctx)
+        return
+    [record] = results
+    with pytest.raises(Exception) as raised:
+        evaluator.evaluate(parse(line), ctx)
+    assert str(raised.value) in record.notes[0]
+
+
+def test_a_batch_parses_each_kind_of_line_once_across_a_context_change(monkeypatch):
+    """A bare literal, a session and a line that parses but fails in the engine, each asked again
+    after ``assume GCH``, are parsed once; each is evaluated again from its AST."""
+    literal, session, failing = "aleph(w +1)", "two_lt(aleph(1)); cf(aleph(w))", "exp_lt(aleph(1),  aleph(w))"
+    lines = [literal, session, failing, "assume GCH", literal, session, failing]
+    parsed = []
+    parse_line = evaluator.parse
+    monkeypatch.setattr(evaluator, "parse", lambda text, *rest: parsed.append(text) or parse_line(text, *rest))
+    out = io.StringIO()
+    assert run_batch(lines, EMPTY_CONTEXT, out, as_json=True) == 1
+    assert parsed == [literal, session, failing, "assume GCH"]
+    records = [json.loads(record) for record in out.getvalue().splitlines()]
+    assert [(r["query"], r["verdict"], r["value"], r["assumptions_used"]) for r in records] == [
+        ("aleph(w+1)", "determined", "aleph(w+1)", []),
+        ("two_lt(aleph(1))", "independent", "2^<aleph(1)", []),
+        ("cf(aleph(w))", "determined", "aleph(0)", []),
+        ("exp_lt(aleph(1), aleph(w))", "error", None, []),
+        ("aleph(w+1)", "determined", "aleph(w+1)", []),
+        ("two_lt(aleph(1))", "determined", "aleph(1)", ["GCH"]),
+        ("cf(aleph(w))", "determined", "aleph(0)", []),
+        ("exp_lt(aleph(1), aleph(w))", "error", None, []),
+    ]
+    monkeypatch.undo()
+    _check_against_reference(lines, EMPTY_CONTEXT)
+
+
 def test_every_query_is_in_a_golden_session():
     data = Path(__file__).parent / "data"
     called = set()
