@@ -28,7 +28,6 @@ from .hypotheses import (
     _sch_below,
     _sch_holds_at,
     ctx_implies_sch,
-    is_false,
 )
 from .ordinals import _EQUAL, _GREATER, _LESS
 
@@ -115,12 +114,9 @@ def triangle(mu: CardinalExpr, lam: CardinalExpr, ctx: HypothesisContext) -> Ver
         raise ValueError("mu must be at most lam")
     if cmp is _EQUAL:
         return Determined(True)
-    closed = is_mu_closed(lam, mu, ctx)
-    if not is_false(closed):
-        return closed
+    if _koenig(lam, mu) is None:
+        return _sch_holds_at(ctx, mu, lam)
     bound = two_lt(mu, ctx)
-    if isinstance(bound, Independent):
-        return bound
-    # Only Koenig refutes closedness, and it uses no assumption.  bound.value is mu (under
-    # GCH, as mu > aleph_0 here), so lam > 2^<mu.
-    return Determined(False, bound.used)
+    # Koenig refutes closedness and uses no assumption.  A settled bound.value is mu (under
+    # GCH, as mu > aleph_0 here), so lam > 2^<mu, where closedness is equivalent.
+    return bound if isinstance(bound, Independent) else Determined(False, bound.used)

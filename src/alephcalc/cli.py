@@ -43,10 +43,8 @@ def _cmd_repl(args, ctx, parser) -> int:
             continue
         if stripped in ("quit", "exit"):
             return 0
-        if stripped == "context":
-            print(f"context: {ctx.describe()}")
-            continue
-        results, ctx = evaluate_line(stripped, ctx)
+        # A line with no records, such as the ``context`` command, shows the context.
+        results, ctx = ([], ctx) if stripped == "context" else evaluate_line(stripped, ctx)
         if not results:
             print(f"context: {ctx.describe()}")
         for result in results:
@@ -104,7 +102,3 @@ def main(argv: list[str] | None = None) -> int:
         # Later writes, and the interpreter's flush at exit, go to devnull instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the status a shell reports when SIGPIPE ends a writer
-
-
-if __name__ == "__main__":
-    sys.exit(main())

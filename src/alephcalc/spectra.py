@@ -183,10 +183,8 @@ def shelah_count_by_internal_size(
 ) -> CountValue:
     """Lower bound on models of internal size lam in K^mu; never finite."""
     require_level(mu, lam)
-    if is_regular(lam):
-        return AtLeastCard(successor(lam))
-    # For singular lam, mu-closedness is exactly SCH_{mu,lam}.
-    used = _sch_below(ctx, mu, lam)
+    # A regular lam needs no certificate; for singular lam, mu-closedness is exactly SCH_{mu,lam}.
+    used = () if is_regular(lam) else _sch_below(ctx, mu, lam)
     if used is not None:
         return AtLeastCard(successor(lam), used)
     return Independent((

@@ -21,6 +21,7 @@ from alephcalc import (
     is_almost_mu_closed,
     is_mu_closed,
     is_regular,
+    successor,
     triangle,
     two_lt,
 )
@@ -29,6 +30,7 @@ from alephcalc.ordinals import OMEGA, cnf_add, from_int
 
 from conftest import alephs, random_cardinal
 from oracles import gch_exp_lt, is_bad_successor
+from test_soundness import CONTEXTS, context
 
 A_W = aleph(OMEGA)
 A_W1 = aleph(cnf_add(OMEGA, from_int(1)))
@@ -204,3 +206,32 @@ class TestBiconditionals:
                 c = is_mu_closed(lam, mu, GCH)
                 assert isinstance(t, Determined) and isinstance(c, Determined)
                 assert t.value == c.value
+
+
+def _regular(rng: random.Random):
+    """A regular cardinal from ``random_cardinal``: aleph(0), a weakly inaccessible atom or a successor."""
+    c = random_cardinal(rng, allow_atom=True)
+    return c if is_regular(c) else successor(c)
+
+
+def test_triangle_is_mu_closedness_unless_koenig_refutes_it_in_every_context():
+    # Where Koenig refutes mu-closedness, the order is settled only above 2^<mu, so two_lt decides.
+    rng = random.Random(20261020)
+    refuted = {Determined: 0, Independent: 0}
+    for spec in CONTEXTS:
+        ctx = context(spec)
+        for _ in range(300):
+            mu, lam = _regular(rng), _regular(rng)
+            if lam < mu:
+                mu, lam = lam, mu
+            if not mu < lam:
+                continue
+            closed = is_mu_closed(lam, mu, ctx)
+            if closed != Determined(False):
+                assert triangle(mu, lam, ctx) == closed, (spec, mu, lam)
+                continue
+            bound = two_lt(mu, ctx)
+            refuted[type(bound)] += 1
+            expected = bound if isinstance(bound, Independent) else Determined(False, bound.used)
+            assert triangle(mu, lam, ctx) == expected, (spec, mu, lam)
+    assert min(refuted.values()) > 0, refuted

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -33,6 +35,7 @@ from alephcalc.ordinals import OMEGA, ORD_ZERO, cnf_add, from_int, omega_power
 
 from conftest import alephs, random_cardinal
 from oracles import gch_pow
+from test_soundness import CONTEXTS, context
 
 A_W = aleph(OMEGA)
 A_W1 = aleph(cnf_add(OMEGA, from_int(1)))
@@ -257,3 +260,15 @@ class TestCrossModuleCoherence:
             if lam > ALEPH1:
                 verdict = internal_size_of_cardinality(params, lam_plus, GCH)
                 assert verdict == TwoCandidates(lam, lam_plus, ("GCH",))
+
+
+def test_shelah_count_by_internal_size_at_a_regular_lam_uses_no_assumption_in_every_context():
+    rng = random.Random(20261021)
+    for spec in CONTEXTS:
+        ctx = context(spec)
+        for _ in range(300):
+            mu, lam = (c if is_regular(c) else successor(c) for c in (random_cardinal(rng), random_cardinal(rng)))
+            if lam < mu:
+                mu, lam = lam, mu
+            out = shelah_count_by_internal_size(mu, lam, ctx)
+            assert out == AtLeastCard(successor(lam)) and out.used == (), (spec, mu, lam, out)
